@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     CapExceededError,
     ConditionsNotMetError,
@@ -47,14 +49,21 @@ class ClassicalStrategy:
         return all(len(dist) == 1 for dist in self.decoder.values())
 
     def table(self, n: int, omega: int) -> ProbTable:
+        """Exact table: integer numerators over the lcm of the decoder
+        weights' denominators."""
         size = n * omega
-        entries = [[Fraction(0)] * size for _ in range(size)]
+        weights = {key: [(b, Fraction(p)) for b, p in dist]
+                   for key, dist in self.decoder.items()}
+        den = math.lcm(*{p.denominator for dist in weights.values() for _, p in dist})
+        scaled = {key: [(b, p.numerator * (den // p.denominator)) for b, p in dist]
+                  for key, dist in weights.items()}
+        num = [[0] * size for _ in range(size)]
         for (x, a), msg in self.encoder.items():
-            r = (x - 1) * omega + a
+            row = num[(x - 1) * omega + a]
             for y in range(1, n + 1):
-                for b, p in self.decoder[(msg, y)]:
-                    entries[r][(y - 1) * omega + b] = Fraction(p)
-        return ProbTable(n, omega, entries, kind="exact")
+                for b, p in scaled[(msg, y)]:
+                    row[(y - 1) * omega + b] = p
+        return ProbTable.from_numerators(n, omega, num, den)
 
     def to_json(self) -> dict:
         dec = []
@@ -215,12 +224,9 @@ def _vertex_rows(cliques: CliqueSet, rel: Relation):
         for a in range(cliques.omega):
             v = selected_vertex(cliques.clique(x), a)
             rows.setdefault(v, (x, a))
-    masks = {}
-    for v, (x, a) in rows.items():
-        masks[v] = tuple(
-            sum(1 << b for b in rel.valid_outputs(x, a, y))
-            for y in range(1, cliques.count + 1)
-        )
+    # admissible outputs of each (row, y) block as a bit set over labels
+    bits = rel.mask.reshape(-1, rel.n, rel.omega) @ (1 << np.arange(rel.omega))
+    masks = {v: tuple(bits[(x - 1) * rel.omega + a].tolist()) for v, (x, a) in rows.items()}
     membership = {v: frozenset(cliques.cliques_containing(v)) for v in rows}
     return rows, masks, membership
 
@@ -265,12 +271,8 @@ def verify_classical_lower_bound(
     encoders prunes any block mixing two different vectors and only branches
     on opening new message blocks.
     """
-    sigs = []
-    for x in range(1, cliques.count + 1):
-        for a in range(cliques.omega):
-            sigs.append(tuple(
-                rel.valid_outputs(x, a, y) for y in range(1, cliques.count + 1)
-            ))
+    # an input's admissible-output vector is its mask row
+    sigs = [row.tobytes() for row in rel.mask]
     visited = 0
 
     def place(i, blocks):
@@ -460,18 +462,11 @@ def mixture_for_optimality(
     n, omega = rel.n, rel.omega
     # keep enumeration (lexicographic assignment) order so the first witness
     # found is deterministic and matches the canonical array of this size
-    pool_tables = []
-    for s in pool:
-        t = s.table(n, omega)
-        key = tuple(tuple(int(e) for e in row) for row in t.entries)
-        pool_tables.append((key, s))
+    # a deterministic table is 0/1 over denominator 1, so its numerators at
+    # the relation's tuples (in lexicographic order) are its choice counts
+    pool_tables = [(s.table(n, omega).num[rel.mask].tolist(), s) for s in pool]
     eta = rel.max_valid_outputs()
-    tuples = rel.tuples
-    size = n * omega
-
-    def count_at(key, t):
-        x, a, y, b = t
-        return key[(x - 1) * omega + a][(y - 1) * omega + b]
+    positions = range(rel.size)
 
     for big_n in range(eta, max_rows + 1, eta):
         quota = big_n // eta
@@ -482,8 +477,8 @@ def mixture_for_optimality(
             range(len(pool_tables)), big_n
         ):
             if all(
-                sum(count_at(pool_tables[ci][0], t) for ci in combo) >= quota
-                for t in tuples
+                sum(pool_tables[ci][0][j] for ci in combo) >= quota
+                for j in positions
             ):
                 w = Fraction(1, big_n)
                 return PublicCoinMixture(

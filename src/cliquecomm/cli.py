@@ -2,9 +2,9 @@
 
 Every command reads/writes JSON (or CSV for run logs and success curves),
 stamps a provenance header, and renders floats with 17 significant digits
-so identical invocations produce byte-identical output.  Exit codes: 0 ok,
-2 bad parameters, 3 model inconsistency, 4 cap exceeded, 5 search
-exhausted.
+so identical invocations produce byte-identical output.  Every failure
+the package anticipates exits with its own code and a one-line message on
+standard error, never a traceback; FAILURES lists the codes.
 """
 
 from __future__ import annotations
@@ -23,9 +23,14 @@ from .classical import (
 )
 from .errors import (
     CapExceededError,
+    CliquecommError,
+    ConditionsNotMetError,
+    ConstructionFailedError,
+    EmptyGraphError,
     InconsistentRelationError,
     InvalidParamsError,
     SearchExhaustedError,
+    UnverifiedRepresentationError,
 )
 from .graphs import (
     CliqueSet,
@@ -325,23 +330,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception types, exit code, message prefix), matched in order; exit 0 is
+# success and argparse exits 2 on a malformed command line
+FAILURES = (
+    ((InvalidParamsError, FileNotFoundError, KeyError), 2, "error"),
+    (InconsistentRelationError, 3, "inconsistent"),
+    (CapExceededError, 4, "cap exceeded"),
+    (SearchExhaustedError, 5, "search exhausted"),
+    (ConditionsNotMetError, 6, "conditions not met"),
+    (EmptyGraphError, 7, "empty graph"),
+    (ConstructionFailedError, 8, "construction failed"),
+    (UnverifiedRepresentationError, 9, "unverified representation"),
+    (json.JSONDecodeError, 10, "malformed JSON"),
+    (CliquecommError, 11, "error"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except (InvalidParamsError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InconsistentRelationError as exc:
-        print(f"inconsistent: {exc}", file=sys.stderr)
-        return 3
-    except CapExceededError as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 4
-    except SearchExhaustedError as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        return 5
+    except (CliquecommError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+        for types, code, label in FAILURES:
+            if isinstance(exc, types):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
     return 0
 
 

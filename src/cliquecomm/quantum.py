@@ -25,7 +25,7 @@ from .errors import (
     UnverifiedRepresentationError,
 )
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph
-from .relation import Relation, selected_vertex
+from .relation import Relation
 from .tables import ProbTable, check_consistency
 from .tables import payoff as table_payoff
 
@@ -331,6 +331,8 @@ def quantum_table(strategy: QuantumStrategy, rel: Relation,
     span; 'uniform' completion hands that mass to a uniformly random
     admissible output (keeping rows normalized and zeros outside the
     relation), 'omit' records the raw overlaps and leaves rows subnormalized.
+    The overlaps are |U U^H|^2 for the matrix U of selected vectors, one row
+    per (clique, label) slot.
     """
     if not strategy.verified:
         raise UnverifiedRepresentationError("strategy representation not verified")
@@ -339,26 +341,20 @@ def quantum_table(strategy: QuantumStrategy, rel: Relation,
     cliques = strategy.cliques
     n, omega = cliques.count, cliques.omega
     size = n * omega
-    entries = np.zeros((size, size))
+    # one row per slot: the vector of the vertex that slot selects
+    u = np.array([strategy.rep.vector(v) for c in cliques.cliques for v in c])
+    entries = np.clip(np.abs(u.conj() @ u.T) ** 2, 0.0, 1.0)
+    blocks = entries.reshape(size, n, omega)
+    residual = 1.0 - blocks.sum(axis=2)
+    short = residual > 1e-12
     subnormal = False
-    for x in range(1, n + 1):
-        for a in range(omega):
-            u = strategy.rep.vector(selected_vertex(cliques.clique(x), a))
-            r = (x - 1) * omega + a
-            for y in range(1, n + 1):
-                probs = np.array([
-                    abs(np.vdot(u, strategy.rep.vector(w))) ** 2
-                    for w in cliques.clique(y)
-                ])
-                probs = np.clip(probs, 0.0, 1.0)
-                residual = 1.0 - probs.sum()
-                if residual > 1e-12:
-                    if completion == "uniform":
-                        valid = rel.valid_outputs(x, a, y)
-                        probs[list(valid)] += residual / len(valid)
-                    else:
-                        subnormal = True
-                entries[r, (y - 1) * omega: y * omega] = probs
+    if completion == "uniform":
+        counts = rel.output_counts()
+        share = np.divide(residual, counts, out=np.zeros_like(residual),
+                          where=short & (counts > 0))
+        blocks += rel.mask.reshape(size, n, omega) * share[:, :, None]
+    else:
+        subnormal = bool(short.any())
     return ProbTable(n, omega, entries, kind="float", subnormalized=subnormal)
 
 

@@ -5,12 +5,17 @@ and colours it 1, the rest 0.  Two labelled cliques are consistent when
 shared vertices receive the same colour and no edge between the cliques has
 both endpoints coloured 1.  The relation collects every consistent tuple
 (C_x, a, C_y, b); clique indices are 1-based, labels 0-based.
+
+A relation is held as one boolean (n*omega) x (n*omega) mask over (clique,
+label) slots in lexicographic order: row (x - 1) * omega + a, column
+(y - 1) * omega + b.  The tuple list is a view derived from the mask.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InconsistentRelationError, InvalidParamsError
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph
@@ -56,164 +61,209 @@ def labels_consistent(
     return not g.adjacent(va, vb)
 
 
-@dataclass(frozen=True)
 class Relation:
-    """All consistent tuples (x, a, y, b), in lexicographic order."""
+    """All consistent tuples (x, a, y, b), held as a boolean slot mask.
 
-    n: int
-    omega: int
-    tuples: tuple[tuple[int, int, int, int], ...]
+    `mask[(x - 1) * omega + a, (y - 1) * omega + b]` is true exactly for the
+    tuples in the relation.  `Relation(n, omega, tuples)` builds the mask
+    from tuples, `Relation.from_mask` takes it as given; either way the
+    mask is read-only and `tuples` is derived from it in lexicographic
+    order.
+    """
+
+    def __init__(self, n: int, omega: int, tuples):
+        n, omega = int(n), int(omega)
+        arr = np.asarray(list(tuples), dtype=np.int64).reshape(-1, 4)
+        x, a, y, b = arr.T
+        if not (
+            ((1 <= x) & (x <= n) & (1 <= y) & (y <= n)).all()
+            and ((0 <= a) & (a < omega) & (0 <= b) & (b < omega)).all()
+        ):
+            raise InvalidParamsError(f"tuple out of range for n={n}, omega={omega}")
+        mask = np.zeros((n * omega, n * omega), dtype=bool)
+        mask[(x - 1) * omega + a, (y - 1) * omega + b] = True
+        self._init(n, omega, mask)
+
+    @classmethod
+    def from_mask(cls, n: int, omega: int, mask) -> "Relation":
+        rel = cls.__new__(cls)
+        rel._init(int(n), int(omega), np.array(mask, dtype=bool))
+        return rel
+
+    def _init(self, n: int, omega: int, mask: np.ndarray):
+        if mask.shape != (n * omega, n * omega):
+            raise InvalidParamsError("mask shape does not match n and omega")
+        mask.flags.writeable = False
+        self.n, self.omega, self.mask = n, omega, mask
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Relation)
+            and (self.n, self.omega) == (other.n, other.omega)
+            and np.array_equal(self.mask, other.mask)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.omega, np.packbits(self.mask).tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Relation(n={self.n}, omega={self.omega}, size={self.size})"
+
+    def _tuple_array(self) -> np.ndarray:
+        """The tuples as a (size, 4) array, rows in lexicographic order."""
+        r, c = np.nonzero(self.mask)
+        w = self.omega
+        return np.stack([r // w + 1, r % w, c // w + 1, c % w], axis=1)
+
+    @cached_property
+    def tuples(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(zip(*self._tuple_array().T.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.tuples)
+        return int(np.count_nonzero(self.mask))
+
+    def _slot(self, x: int, a: int) -> int | None:
+        if 1 <= x <= self.n and 0 <= a < self.omega:
+            return (x - 1) * self.omega + a
+        return None
 
     def __contains__(self, t) -> bool:
-        return tuple(t) in self._index
+        x, a, y, b = t
+        r, c = self._slot(x, a), self._slot(y, b)
+        return r is not None and c is not None and bool(self.mask[r, c])
 
-    @property
-    def _index(self) -> frozenset:
-        # built lazily; frozen dataclass so stash on the instance dict via object
-        cached = self.__dict__.get("_index_cache")
-        if cached is None:
-            cached = frozenset(self.tuples)
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+    def output_counts(self) -> np.ndarray:
+        """Number of admissible outputs b of each input, as an (n*omega, n)
+        array indexed by Alice's slot and Bob's clique index minus one."""
+        return self.mask.reshape(self.n * self.omega, self.n, self.omega).sum(axis=2)
 
     def valid_outputs(self, x: int, a: int, y: int) -> tuple[int, ...]:
         """All b with (x, a, y, b) in the relation."""
-        return tuple(b for b in range(self.omega) if (x, a, y, b) in self)
+        r = self._slot(x, a)
+        if r is None or not 1 <= y <= self.n:
+            return ()
+        block = self.mask[r, (y - 1) * self.omega: y * self.omega]
+        return tuple(np.flatnonzero(block).tolist())
 
     def row_support(self, x: int, a: int) -> frozenset[tuple[int, int]]:
         """The set of (y, b) the input (x, a) can be followed by."""
-        return frozenset(
-            (y, b)
-            for y in range(1, self.n + 1)
-            for b in self.valid_outputs(x, a, y)
-        )
+        r = self._slot(x, a)
+        if r is None:
+            return frozenset()
+        cols = np.flatnonzero(self.mask[r]).tolist()
+        return frozenset((c // self.omega + 1, c % self.omega) for c in cols)
 
     def max_valid_outputs(self) -> int:
         """Largest number of admissible outputs over all input triples."""
-        return max(
-            len(self.valid_outputs(x, a, y))
-            for x in range(1, self.n + 1)
-            for a in range(self.omega)
-            for y in range(1, self.n + 1)
-        )
+        return int(self.output_counts().max())
 
     def to_json(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "omega": self.omega,
-            "tuples": [list(t) for t in self.tuples],
+            "tuples": self._tuple_array().tolist(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Relation":
-        return cls(
-            int(data["n"]),
-            int(data["omega"]),
-            tuple(tuple(t) for t in data["tuples"]),
-        )
+        return cls(int(data["n"]), int(data["omega"]), data["tuples"])
 
 
 def build_relation(g: Graph, cliques: CliqueSet) -> Relation:
-    """Enumerate every consistent tuple over the given maximum cliques.
+    """Every consistent tuple over the given maximum cliques, as a mask.
 
-    Raises if some input triple admits no output at all; the games here are
-    only defined for relations that are total over the input set.
+    The rule of `labels_consistent` applied to all slot pairs at once: the
+    two selected vertices are equal, or neither lies in the other slot's
+    clique and they are not adjacent.  Raises if some input triple admits
+    no output at all; the games here are only defined for relations that
+    are total over the input set.
     """
     n, omega = cliques.count, cliques.omega
-    tuples = []
-    for x in range(1, n + 1):
-        for a in range(omega):
-            for y in range(1, n + 1):
-                outs = [
-                    b for b in range(omega) if labels_consistent(g, cliques, x, a, y, b)
-                ]
-                if not outs:
-                    raise InconsistentRelationError(
-                        f"input ({x},{a},{y}) admits no consistent output"
-                    )
-                tuples.extend((x, a, y, b) for b in outs)
-    return Relation(n, omega, tuple(tuples))
+    verts = np.asarray(cliques.cliques, dtype=np.intp)
+    selected = verts.ravel()  # slot -> selected vertex
+    member = np.zeros((n, g.order + 1), dtype=bool)
+    member[np.arange(n)[:, None], verts] = True
+    adjacency = np.zeros((g.order + 1, g.order + 1), dtype=bool)
+    if g.edges:
+        u, v = np.array(sorted(g.edges)).T
+        adjacency[u, v] = adjacency[v, u] = True
+    # in_clique[s, t]: the vertex slot t selects lies in slot s's clique
+    in_clique = member[np.repeat(np.arange(n), omega)][:, selected]
+    mask = (selected[:, None] == selected[None, :]) | ~(
+        in_clique | in_clique.T | adjacency[np.ix_(selected, selected)]
+    )
+    rel = Relation.from_mask(n, omega, mask)
+    empty = np.argwhere(rel.output_counts() == 0)
+    if len(empty):
+        s, y = empty[0].tolist()
+        raise InconsistentRelationError(
+            f"input ({s // omega + 1},{s % omega},{y + 1}) admits no consistent output"
+        )
+    return rel
 
 
 def infer_graph(rel: Relation, n: int, omega: int) -> tuple[Graph, tuple[tuple[tuple[int, int], ...], ...]]:
     """Rebuild the host graph from the relation alone.
 
-    Vertices are recovered as classes of (clique, position) pairs that force
-    each other deterministically in both directions and have identical row
-    supports; such pairs behave identically in every round, which is exactly
-    the signature of a shared vertex.  Two recovered vertices are adjacent
-    when some tuple between their representatives is excluded.
+    Vertices are recovered as classes of (clique, position) slots with
+    identical mask rows.  Under diagonal determinism two such slots lie in
+    different cliques and force each other in both directions, which is
+    exactly the signature of a shared vertex.  Two recovered vertices are
+    adjacent when every pair of their representatives is excluded (pairs
+    inside one clique always are); a class pair with both admissible and
+    excluded representative pairs is ambiguous.
 
     Returns the graph (classes numbered by their least member in (clique,
     position) order) together with the member list of each class.
     """
     if n != rel.n or omega != rel.omega:
         raise InvalidParamsError("n/omega do not match the relation")
-    slots = [(x, a) for x in range(1, n + 1) for a in range(omega)]
-    for x, a in slots:
-        if rel.valid_outputs(x, a, x) != (a,):
+    size = n * omega
+    blocks = rel.mask.reshape(n, omega, n, omega)
+    diagonal = blocks[np.arange(n), :, np.arange(n), :]  # [x, a, b]
+    bad_diagonal = (diagonal != np.eye(omega, dtype=bool)).any(axis=2).ravel()
+    empty = rel.output_counts() == 0
+    bad = bad_diagonal | empty.any(axis=1)
+    if bad.any():
+        s = int(np.argmax(bad))
+        x, a = s // omega + 1, s % omega
+        if bad_diagonal[s]:
             raise InconsistentRelationError(
                 f"diagonal determinism fails at clique {x}, label {a}"
             )
-        for y in range(1, n + 1):
-            if not rel.valid_outputs(x, a, y):
-                raise InconsistentRelationError(
-                    f"relation not total at input ({x},{a},{y})"
-                )
+        y = int(np.argmax(empty[s])) + 1
+        raise InconsistentRelationError(f"relation not total at input ({x},{a},{y})")
 
-    parent = {s: s for s in slots}
+    _, first, inverse = np.unique(rel.mask, axis=0, return_index=True,
+                                  return_inverse=True)
+    count = len(first)
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(count)
+    class_of = rank[inverse.ravel()]  # slot -> class, numbered by least member
 
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    def union(s, t):
-        rs, rt = find(s), find(t)
-        if rs != rt:
-            parent[max(rs, rt)] = min(rs, rt)
-
-    supports = {s: rel.row_support(*s) for s in slots}
-    for (x, a), (y, b) in itertools.combinations(slots, 2):
-        if x == y:
-            continue
-        if (
-            rel.valid_outputs(x, a, y) == (b,)
-            and rel.valid_outputs(y, b, x) == (a,)
-            and supports[(x, a)] == supports[(y, b)]
-        ):
-            union((x, a), (y, b))
-
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s in slots:
-        groups.setdefault(find(s), []).append(s)
-    classes = [tuple(sorted(m)) for m in groups.values()]
-    classes.sort(key=lambda m: m[0])
-
-    edges = []
-    for i, j in itertools.combinations(range(len(classes)), 2):
-        verdicts = {
-            (x, a, y, b) in rel
-            for x, a in classes[i]
-            for y, b in classes[j]
-            if x != y
-        }
-        # same-clique representatives at different positions are excluded pairs
-        same_clique = any(
-            x == y for x, _ in classes[i] for y, _ in classes[j]
+    onehot = np.zeros((size, count))
+    onehot[np.arange(size), class_of] = 1.0
+    sizes = onehot.sum(axis=0)
+    # admissible representative pairs of each class pair; two distinct
+    # slots of one clique never are (the diagonal blocks are identities),
+    # so every other pair, same-clique ones included, is an excluded one
+    admissible = onehot.T @ (rel.mask @ onehot)
+    has_true = admissible > 0
+    has_false = admissible < np.outer(sizes, sizes)
+    upper = np.triu(np.ones((count, count), dtype=bool), k=1)
+    ambiguous = np.argwhere(upper & has_true & has_false)
+    if len(ambiguous):
+        i, j = ambiguous[0].tolist()
+        raise InconsistentRelationError(
+            f"ambiguous adjacency between recovered vertices {i + 1} and {j + 1}"
         )
-        if same_clique:
-            verdicts.add(False)
-        if verdicts == {True, False}:
-            raise InconsistentRelationError(
-                f"ambiguous adjacency between recovered vertices {i + 1} and {j + 1}"
-            )
-        if verdicts == {False}:
-            edges.append((i + 1, j + 1))
-    return Graph(len(classes), edges), tuple(classes)
+    edges = (np.argwhere(upper & has_false) + 1).tolist()
+
+    order = np.argsort(class_of, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(class_of, minlength=count))[:-1])
+    classes = tuple(
+        tuple((s // omega + 1, s % omega) for s in m.tolist()) for m in members
+    )
+    return Graph(count, edges), classes

@@ -41,11 +41,10 @@ class RunLog:
         return buf.getvalue()
 
 
-def _table_as_float(table: ProbTable) -> np.ndarray:
+def _blocks(table: ProbTable) -> np.ndarray:
+    """The float table as an (n*omega, n, omega) array of (row, y) blocks."""
     size = table.n * table.omega
-    return np.array(
-        [[float(table.entry_by_index(r, c)) for c in range(size)] for r in range(size)]
-    )
+    return table.as_float().reshape(size, table.n, table.omega)
 
 
 def simulate_rounds(table: ProbTable, k: int, seed: int) -> RunLog:
@@ -56,16 +55,13 @@ def simulate_rounds(table: ProbTable, k: int, seed: int) -> RunLog:
     rng = np.random.default_rng(seed)
     if k == 0:
         return RunLog((), 0, seed)
-    arr = _table_as_float(table)
+    blocks = _blocks(table)
     xs = rng.integers(1, n + 1, size=k)
     las = rng.integers(0, omega, size=k)
     ys = rng.integers(1, n + 1, size=k)
     rows = (xs - 1) * omega + las
     # per-round inverse-CDF draw inside the (row, y) block
-    blocks = arr[rows]
-    take = ((ys - 1) * omega)[:, None] + np.arange(omega)[None, :]
-    probs = np.take_along_axis(blocks, take, axis=1)
-    cdf = np.cumsum(probs, axis=1)
+    cdf = np.cumsum(blocks[rows, ys - 1], axis=1)
     u = rng.random((k, 1))
     bs = (u > cdf).sum(axis=1)
     bs = np.minimum(bs, omega - 1)
@@ -119,7 +115,7 @@ def tuple_probabilities(table: ProbTable, rel: Relation) -> np.ndarray:
     """Per-round probability of each admissible tuple under uniform inputs."""
     n, omega = rel.n, rel.omega
     input_p = 1.0 / (n * n * omega)
-    return np.array([float(table.prob(*t)) * input_p for t in rel.tuples])
+    return table.as_float()[rel.mask] * input_p
 
 
 def success_prob_exact(table: ProbTable, rel: Relation, k: int,
@@ -151,35 +147,33 @@ def success_prob_exact(table: ProbTable, rel: Relation, k: int,
 def mc_success_rate(table: ProbTable, rel: Relation, k: int, trials: int,
                     seed: int, chunk: int = 512) -> tuple[float, float]:
     """Monte-Carlo estimate of the reconstruction probability, with its
-    binomial standard error.  Trials are vectorized in chunks."""
+    binomial standard error.  Trials are vectorized in chunks; a chunk
+    holds its rounds' omega-wide table blocks, never whole table rows."""
     n, omega = rel.n, rel.omega
-    arr = _table_as_float(table)
-    target = np.array([
-        (((x - 1) * omega + a) * n + (y - 1)) * omega + b
-        for x, a, y, b in rel.tuples
-    ])
+    blocks = _blocks(table)
+    # tuple id ((row * n) + y) * omega + b -> index among the relation's
+    # tuples, or -1 outside the relation
+    target = np.full(rel.mask.size, -1, dtype=np.int64)
+    target[np.flatnonzero(rel.mask)] = np.arange(rel.size)
     rng = np.random.default_rng(seed)
     successes = 0
     done = 0
-    n_ids = n * omega * n * omega
     while done < trials:
         t = min(chunk, trials - done)
         xs = rng.integers(0, n, size=(t, k))
         las = rng.integers(0, omega, size=(t, k))
         ys = rng.integers(0, n, size=(t, k))
         rows = xs * omega + las
-        blocks = arr[rows.ravel()].reshape(t, k, n * omega)
-        col0 = ys * omega
-        take = col0[..., None] + np.arange(omega)[None, None, :]
-        probs = np.take_along_axis(blocks, take, axis=2)
-        cdf = np.cumsum(probs, axis=2)
+        cdf = np.cumsum(blocks[rows, ys], axis=2)
         u = rng.random((t, k, 1))
         bs = (u > cdf).sum(axis=2)
         bs = np.minimum(bs, omega - 1)
-        ids = (rows * n + ys) * omega + bs
-        present = np.zeros((t, n_ids), dtype=bool)
-        present[np.arange(t)[:, None], ids] = True
-        successes += int(present[:, target].all(axis=1).sum())
+        # a trial succeeds when its rounds show rel.size distinct tuples
+        seen = np.sort(target[(rows * n + ys) * omega + bs], axis=1)
+        fresh = np.ones_like(seen, dtype=bool)
+        fresh[:, 1:] = seen[:, 1:] != seen[:, :-1]
+        distinct = (fresh & (seen >= 0)).sum(axis=1)
+        successes += int((distinct == rel.size).sum())
         done += t
     rate = successes / trials
     stderr = float(np.sqrt(max(rate * (1 - rate), 1e-12) / trials))

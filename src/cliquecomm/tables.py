@@ -6,13 +6,17 @@ block layout with omega x omega blocks per clique pair.  Classical strategy
 tables and their mixtures carry exact rationals; quantum tables carry
 floats.  The three conditions checked against a relation are: zero outside
 the relation (consistency), positive inside it (coverage), and payoff equal
-to the algebraic bound (optimality).
+to the algebraic bound (optimality).  Each check is a reduction of the
+table's nonzero pattern or values over the relation's boolean mask, whose
+row-major order is the lexicographic tuple order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +26,26 @@ from .relation import Relation, selected_vertex
 
 ZERO_TOL = 1e-9
 
+# Exact tables keep numerators and their common denominator as int64 while
+# all of them are at most 2**53: then each converts to float64 exactly, so
+# the float view num / den is correctly rounded, as float(Fraction) is.
+# Past that they are Python ints in an object array, through the same code.
+EXACT_INT_LIMIT = 2 ** 53
+
+
+def _narrow(num: np.ndarray, den: int) -> np.ndarray:
+    big = den > EXACT_INT_LIMIT or (num.size and np.abs(num).max() > EXACT_INT_LIMIT)
+    return num.astype(object if big else np.int64, copy=False)
+
 
 class ProbTable:
-    """Square table of conditional probabilities, exact or floating point."""
+    """Square table of conditional probabilities, exact or floating point.
+
+    An exact table holds an integer numerator matrix `num` over one common
+    denominator `den`, the lcm of its entries' denominators; `entries` is
+    its Fraction view, built on first use.  A float table holds the float
+    matrix `entries`.
+    """
 
     def __init__(self, n: int, omega: int, entries, kind: str = "exact",
                  subnormalized: bool = False):
@@ -38,48 +59,101 @@ class ProbTable:
         if kind == "exact":
             rows = []
             for row in entries:
-                row = tuple(Fraction(e) for e in row)
+                row = [Fraction(e) for e in row]
                 if len(row) != size:
                     raise InvalidParamsError("bad row length")
                 rows.append(row)
             if len(rows) != size:
                 raise InvalidParamsError("bad row count")
-            self.entries = tuple(rows)
+            den = math.lcm(*{e.denominator for row in rows for e in row})
+            num = np.array([[e.numerator * (den // e.denominator) for e in row]
+                            for row in rows], dtype=object).reshape(size, size)
+            self.num, self.den = _narrow(num, den), den
         else:
             arr = np.asarray(entries, dtype=float)
             if arr.shape != (size, size):
                 raise InvalidParamsError("bad table shape")
+            # fills the cached property, so float tables never compute it
             self.entries = arr
         self._validate()
 
+    @classmethod
+    def from_numerators(cls, n: int, omega: int, num, den: int,
+                        subnormalized: bool = False) -> "ProbTable":
+        """Exact table with entries num / den (integers, as an array or
+        nested lists), stored over the least common denominator."""
+        num = np.asarray(num)
+        den = int(den)
+        if den <= 0:
+            raise InvalidParamsError("denominator must be positive")
+        if num.shape != (n * omega, n * omega):
+            raise InvalidParamsError("bad table shape")
+        common = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
+        table = cls.__new__(cls)
+        table.n, table.omega, table.kind = n, omega, "exact"
+        table.subnormalized = subnormalized
+        table.den = den // common
+        table.num = _narrow(num // common, table.den)
+        table._validate()
+        return table
+
+    @cached_property
+    def entries(self):
+        """Exact tables: a tuple of rows of Fractions (float tables set it)."""
+        size = self.n * self.omega
+        values, inverse = np.unique(self.num, return_inverse=True)
+        fractions = np.empty(len(values), dtype=object)
+        fractions[:] = [Fraction(int(v), self.den) for v in values.tolist()]
+        return tuple(map(tuple, fractions[inverse.reshape(size, size)].tolist()))
+
+    def as_float(self) -> np.ndarray:
+        """The entries as float64; an exact entry equals float(Fraction) bitwise."""
+        if self.kind == "float":
+            return self.entries
+        return np.asarray(self.num / self.den, dtype=float)
+
+    def nonzero_mask(self) -> np.ndarray:
+        """Entries that count as nonzero: exactly, or above ZERO_TOL for floats."""
+        if self.kind == "exact":
+            return self.num != 0
+        return np.abs(self.entries) > ZERO_TOL
+
     def _validate(self):
-        for r in range(self.n * self.omega):
-            for y in range(1, self.n + 1):
-                block = [self.entry_by_index(r, (y - 1) * self.omega + c)
-                         for c in range(self.omega)]
-                if any(e < 0 or e > 1 for e in map(float, block)):
-                    raise InvalidParamsError("entries must lie in [0, 1]")
-                total = sum(block)
-                if self.kind == "exact":
-                    if total != 1:
-                        raise InvalidParamsError(
-                            f"row {r}, clique {y}: block sums to {total}, not 1"
-                        )
-                else:
-                    if self.subnormalized:
-                        if float(total) > 1 + ZERO_TOL:
-                            raise InvalidParamsError("block sum exceeds 1")
-                    elif abs(float(total) - 1) > ZERO_TOL:
-                        raise InvalidParamsError(
-                            f"row {r}, clique {y}: block sums to {float(total)}"
-                        )
+        n, omega = self.n, self.omega
+        size = n * omega
+        values, one = (self.num, self.den) if self.kind == "exact" else (self.entries, 1)
+        blocks = values.reshape(size, n, omega)
+        out_of_range = ((blocks < 0) | (blocks > one)).any(axis=2)
+        totals = blocks.sum(axis=2)
+        if self.kind == "exact":
+            bad_total = totals != one
+        elif self.subnormalized:
+            bad_total = totals > 1 + ZERO_TOL
+        else:
+            bad_total = np.abs(totals - 1) > ZERO_TOL
+        bad = np.argwhere(out_of_range | bad_total)
+        if not len(bad):
+            return
+        r, y = bad[0].tolist()
+        if out_of_range[r, y]:
+            raise InvalidParamsError("entries must lie in [0, 1]")
+        if self.kind == "exact":
+            total = Fraction(int(totals[r, y]), self.den)
+            raise InvalidParamsError(
+                f"row {r}, clique {y + 1}: block sums to {total}, not 1"
+            )
+        if self.subnormalized:
+            raise InvalidParamsError("block sum exceeds 1")
+        raise InvalidParamsError(
+            f"row {r}, clique {y + 1}: block sums to {float(totals[r, y])}"
+        )
 
     def row_index(self, x: int, a: int) -> int:
         return (x - 1) * self.omega + a
 
     def entry_by_index(self, r: int, c: int):
         if self.kind == "exact":
-            return self.entries[r][c]
+            return Fraction(int(self.num[r, c]), self.den)
         return self.entries[r, c]
 
     def prob(self, x: int, a: int, y: int, b: int):
@@ -96,12 +170,15 @@ class ProbTable:
             return value == 0
         return abs(value) <= ZERO_TOL
 
+    def _exact_cells(self) -> list[list[str]]:
+        """Each exact entry rendered as a reduced "p/q"."""
+        return [[f"{e.numerator}/{e.denominator}" for e in row] for row in self.entries]
+
     def to_json(self) -> dict:
         if self.kind == "exact":
-            data = [[f"{e.numerator}/{e.denominator}" for e in row]
-                    for row in self.entries]
+            data = self._exact_cells()
         else:
-            data = [[float(e) for e in row] for row in self.entries]
+            data = self.entries.tolist()
         payload = {
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
@@ -115,16 +192,12 @@ class ProbTable:
 
     def to_csv(self) -> str:
         """Row-major CSV with an n/omega/kind header line."""
+        if self.kind == "exact":
+            cells = self._exact_cells()
+        else:
+            cells = [[format(e, ".17g") for e in row] for row in self.entries.tolist()]
         lines = [f"# n={self.n} omega={self.omega} kind={self.kind}"]
-        for r in range(self.n * self.omega):
-            cells = []
-            for c in range(self.n * self.omega):
-                e = self.entry_by_index(r, c)
-                if self.kind == "exact":
-                    cells.append(f"{e.numerator}/{e.denominator}")
-                else:
-                    cells.append(format(float(e), ".17g"))
-            lines.append(",".join(cells))
+        lines += [",".join(row) for row in cells]
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -139,22 +212,24 @@ class ProbTable:
 
 
 def mix_tables(weighted: list[tuple[ProbTable, Fraction]]) -> ProbTable:
-    """Exact convex combination of exact tables."""
+    """Exact convex combination of exact tables, summed as integer numerators
+    over the lcm of the weighted denominators."""
     if not weighted:
         raise InvalidParamsError("empty mixture")
     n, omega = weighted[0][0].n, weighted[0][0].omega
     weights = [Fraction(w) for _, w in weighted]
     if sum(weights) != 1 or any(w <= 0 for w in weights):
         raise InvalidParamsError("weights must be positive and sum to 1")
-    size = n * omega
-    acc = [[Fraction(0)] * size for _ in range(size)]
-    for (t, _), w in zip(weighted, weights):
-        if t.kind != "exact" or t.n != n or t.omega != omega:
-            raise InvalidParamsError("mixture needs matching exact tables")
-        for r in range(size):
-            for c in range(size):
-                acc[r][c] += w * t.entries[r][c]
-    return ProbTable(n, omega, acc, kind="exact")
+    tables = [t for t, _ in weighted]
+    if any(t.kind != "exact" or t.n != n or t.omega != omega for t in tables):
+        raise InvalidParamsError("mixture needs matching exact tables")
+    den = math.lcm(*(w.denominator * t.den for t, w in zip(tables, weights)))
+    # every partial sum is at most den, so int64 cannot overflow below the limit
+    dtype = np.int64 if den <= EXACT_INT_LIMIT else object
+    acc = np.zeros((n * omega, n * omega), dtype=dtype)
+    for t, w in zip(tables, weights):
+        acc += w.numerator * (den // (w.denominator * t.den)) * t.num.astype(dtype)
+    return ProbTable.from_numerators(n, omega, acc, den)
 
 
 @dataclass(frozen=True)
@@ -168,39 +243,42 @@ class PayoffReport:
     consistent: bool
 
 
+def _tuple_at(omega: int, r: int, c: int) -> tuple[int, int, int, int]:
+    return r // omega + 1, r % omega, c // omega + 1, c % omega
+
+
 def check_consistency(table: ProbTable, rel: Relation):
     """Every entry outside the relation must be zero.  Returns (ok, violations)."""
     _require_match(table, rel)
-    violations = []
-    for x, a in table.rows():
-        for y in range(1, rel.n + 1):
-            valid = set(rel.valid_outputs(x, a, y))
-            for b in range(rel.omega):
-                if b not in valid and not table.is_zero(table.prob(x, a, y, b)):
-                    violations.append((x, a, y, b, table.prob(x, a, y, b)))
+    rows, cols = np.nonzero(table.nonzero_mask() & ~rel.mask)
+    violations = [(*_tuple_at(rel.omega, r, c), table.entry_by_index(r, c))
+                  for r, c in zip(rows.tolist(), cols.tolist())]
     return not violations, violations
 
 
 def check_coverage(table: ProbTable, rel: Relation):
     """Every entry inside the relation must be positive.  Returns (ok, missing)."""
     _require_match(table, rel)
-    missing = [t for t in rel.tuples if table.is_zero(table.prob(*t))]
+    rows, cols = np.nonzero(rel.mask & ~table.nonzero_mask())
+    missing = [_tuple_at(rel.omega, r, c) for r, c in zip(rows.tolist(), cols.tolist())]
     return not missing, missing
 
 
 def payoff(table: ProbTable, rel: Relation) -> PayoffReport:
     """Minimum conditional probability over tuples in the relation.
 
-    The algebraic bound is one over the largest number of valid outputs any
+    The witness is the first minimizing tuple in lexicographic order.  The
+    algebraic bound is one over the largest number of valid outputs any
     input pair admits; no table can exceed it on the relation's support.
     """
     _require_match(table, rel)
     best = None
     witness = None
-    for t in rel.tuples:
-        v = table.prob(*t)
-        if best is None or v < best:
-            best, witness = v, t
+    inside = (table.num if table.kind == "exact" else table.entries)[rel.mask]
+    if inside.size:
+        flat = int(np.flatnonzero(rel.mask)[np.argmin(inside)])
+        r, c = divmod(flat, rel.n * rel.omega)
+        best, witness = table.entry_by_index(r, c), _tuple_at(rel.omega, r, c)
     eta = rel.max_valid_outputs()
     ok, _ = check_consistency(table, rel)
     return PayoffReport(best, witness, eta, Fraction(1, eta), ok)
@@ -248,8 +326,7 @@ def compress_rows(table: ProbTable, g: Graph, cliques: CliqueSet) -> CompressedT
     order: list[int] = []
     for x, a in table.rows():
         v = selected_vertex(cliques.clique(x), a)
-        row = tuple(table.entry_by_index(table.row_index(x, a), c)
-                    for c in range(table.n * table.omega))
+        row = tuple(table.entries[table.row_index(x, a)])
         if v in by_vertex:
             if by_vertex[v] != row:
                 raise InvalidParamsError(

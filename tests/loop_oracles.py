@@ -1,0 +1,284 @@
+"""Per-tuple loop versions of the array kernels, kept as test oracles.
+
+Each function restates one kernel the library computes over the relation
+mask or an integer numerator matrix, the slow way: one tuple, entry or
+slot pair at a time, through public accessors only (`rel.tuples`,
+`table.prob`, `labels_consistent`).  The property tests compare the two.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+
+from cliquecomm import Graph, InconsistentRelationError, InvalidParamsError, labels_consistent
+from cliquecomm.tables import ZERO_TOL
+
+
+def relation_tuples(g, cliques):
+    """Every consistent tuple in lexicographic order, by labels_consistent."""
+    n, omega = cliques.count, cliques.omega
+    tuples = []
+    for x in range(1, n + 1):
+        for a in range(omega):
+            for y in range(1, n + 1):
+                outs = [b for b in range(omega) if labels_consistent(g, cliques, x, a, y, b)]
+                if not outs:
+                    raise InconsistentRelationError(
+                        f"input ({x},{a},{y}) admits no consistent output"
+                    )
+                tuples.extend((x, a, y, b) for b in outs)
+    return tuple(tuples)
+
+
+def valid_outputs(index, omega, x, a, y):
+    return tuple(b for b in range(omega) if (x, a, y, b) in index)
+
+
+def max_valid_outputs(rel):
+    index = frozenset(rel.tuples)
+    return max(
+        len(valid_outputs(index, rel.omega, x, a, y))
+        for x in range(1, rel.n + 1)
+        for a in range(rel.omega)
+        for y in range(1, rel.n + 1)
+    )
+
+
+def check_consistency(table, rel):
+    index = frozenset(rel.tuples)
+    violations = []
+    for x, a in table.rows():
+        for y in range(1, rel.n + 1):
+            valid = set(valid_outputs(index, rel.omega, x, a, y))
+            for b in range(rel.omega):
+                if b not in valid and not table.is_zero(table.prob(x, a, y, b)):
+                    violations.append((x, a, y, b, table.prob(x, a, y, b)))
+    return not violations, violations
+
+
+def check_coverage(table, rel):
+    missing = [t for t in rel.tuples if table.is_zero(table.prob(*t))]
+    return not missing, missing
+
+
+def payoff(table, rel):
+    """(value, witness, max valid outputs, consistent): the first strict
+    minimum over the tuples in lexicographic order."""
+    best = None
+    witness = None
+    for t in rel.tuples:
+        v = table.prob(*t)
+        if best is None or v < best:
+            best, witness = v, t
+    return best, witness, max_valid_outputs(rel), check_consistency(table, rel)[0]
+
+
+def validate(n, omega, entries, kind, subnormalized=False):
+    """The block-by-block ProbTable validation; raises InvalidParamsError."""
+    size = n * omega
+    for r in range(size):
+        for y in range(1, n + 1):
+            block = [entries[r][(y - 1) * omega + c] for c in range(omega)]
+            if any(e < 0 or e > 1 for e in map(float, block)):
+                raise InvalidParamsError("entries must lie in [0, 1]")
+            total = sum(block)
+            if kind == "exact":
+                if total != 1:
+                    raise InvalidParamsError(
+                        f"row {r}, clique {y}: block sums to {total}, not 1"
+                    )
+            elif subnormalized:
+                if float(total) > 1 + ZERO_TOL:
+                    raise InvalidParamsError("block sum exceeds 1")
+            elif abs(float(total) - 1) > ZERO_TOL:
+                raise InvalidParamsError(
+                    f"row {r}, clique {y}: block sums to {float(total)}"
+                )
+
+
+def mix_entries(weighted):
+    """Fraction-by-Fraction convex combination of exact tables' entries."""
+    n, omega = weighted[0][0].n, weighted[0][0].omega
+    size = n * omega
+    acc = [[Fraction(0)] * size for _ in range(size)]
+    for t, w in weighted:
+        for r in range(size):
+            for c in range(size):
+                acc[r][c] += Fraction(w) * t.entries[r][c]
+    return acc
+
+
+def strategy_entries(strategy, n, omega):
+    """A classical strategy's table, one Fraction per decoder weight."""
+    size = n * omega
+    entries = [[Fraction(0)] * size for _ in range(size)]
+    for (x, a), msg in strategy.encoder.items():
+        r = (x - 1) * omega + a
+        for y in range(1, n + 1):
+            for b, p in strategy.decoder[(msg, y)]:
+                entries[r][(y - 1) * omega + b] = Fraction(p)
+    return entries
+
+
+def quantum_entries(strategy, rel, completion="uniform"):
+    """Born-rule table by one vdot per (input, Bob clique, output):
+    returns (entries, subnormalized)."""
+    cliques = strategy.cliques
+    n, omega = cliques.count, cliques.omega
+    index = frozenset(rel.tuples)
+    entries = np.zeros((n * omega, n * omega))
+    subnormal = False
+    for x in range(1, n + 1):
+        for a in range(omega):
+            u = strategy.rep.vector(cliques.clique(x)[a])
+            r = (x - 1) * omega + a
+            for y in range(1, n + 1):
+                probs = np.array([
+                    abs(np.vdot(u, strategy.rep.vector(w))) ** 2
+                    for w in cliques.clique(y)
+                ])
+                probs = np.clip(probs, 0.0, 1.0)
+                residual = 1.0 - probs.sum()
+                if residual > 1e-12:
+                    if completion == "uniform":
+                        valid = valid_outputs(index, omega, x, a, y)
+                        probs[list(valid)] += residual / len(valid)
+                    else:
+                        subnormal = True
+                entries[r, (y - 1) * omega: y * omega] = probs
+    return entries, subnormal
+
+
+def infer_graph(rel, n, omega):
+    """Slot pairs that force each other and share a row support, merged by
+    union-find; adjacency from the verdicts over representative pairs."""
+    if n != rel.n or omega != rel.omega:
+        raise InvalidParamsError("n/omega do not match the relation")
+    index = frozenset(rel.tuples)
+
+    def outputs(x, a, y):
+        return valid_outputs(index, omega, x, a, y)
+
+    slots = [(x, a) for x in range(1, n + 1) for a in range(omega)]
+    for x, a in slots:
+        if outputs(x, a, x) != (a,):
+            raise InconsistentRelationError(
+                f"diagonal determinism fails at clique {x}, label {a}"
+            )
+        for y in range(1, n + 1):
+            if not outputs(x, a, y):
+                raise InconsistentRelationError(f"relation not total at input ({x},{a},{y})")
+
+    parent = {s: s for s in slots}
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def union(s, t):
+        rs, rt = find(s), find(t)
+        if rs != rt:
+            parent[max(rs, rt)] = min(rs, rt)
+
+    supports = {
+        (x, a): frozenset((y, b) for y in range(1, n + 1) for b in outputs(x, a, y))
+        for x, a in slots
+    }
+    for (x, a), (y, b) in itertools.combinations(slots, 2):
+        if x == y:
+            continue
+        if (
+            outputs(x, a, y) == (b,)
+            and outputs(y, b, x) == (a,)
+            and supports[(x, a)] == supports[(y, b)]
+        ):
+            union((x, a), (y, b))
+
+    groups = {}
+    for s in slots:
+        groups.setdefault(find(s), []).append(s)
+    classes = sorted((tuple(sorted(m)) for m in groups.values()), key=lambda m: m[0])
+
+    edges = []
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        verdicts = {
+            (x, a, y, b) in index
+            for x, a in classes[i]
+            for y, b in classes[j]
+            if x != y
+        }
+        if any(x == y for x, _ in classes[i] for y, _ in classes[j]):
+            verdicts.add(False)
+        if verdicts == {True, False}:
+            raise InconsistentRelationError(
+                f"ambiguous adjacency between recovered vertices {i + 1} and {j + 1}"
+            )
+        if verdicts == {False}:
+            edges.append((i + 1, j + 1))
+    return Graph(len(classes), edges), tuple(classes)
+
+
+def table_as_float(table):
+    size = table.n * table.omega
+    return np.array(
+        [[float(table.entry_by_index(r, c)) for c in range(size)] for r in range(size)]
+    )
+
+
+def simulate_rounds(table, k, seed):
+    """Round draws gathering each round's whole table row, as rounds."""
+    n, omega = table.n, table.omega
+    rng = np.random.default_rng(seed)
+    if k == 0:
+        return ()
+    arr = table_as_float(table)
+    xs = rng.integers(1, n + 1, size=k)
+    las = rng.integers(0, omega, size=k)
+    ys = rng.integers(1, n + 1, size=k)
+    rows = (xs - 1) * omega + las
+    blocks = arr[rows]
+    take = ((ys - 1) * omega)[:, None] + np.arange(omega)[None, :]
+    probs = np.take_along_axis(blocks, take, axis=1)
+    cdf = np.cumsum(probs, axis=1)
+    u = rng.random((k, 1))
+    bs = np.minimum((u > cdf).sum(axis=1), omega - 1)
+    return tuple((int(xs[i]), int(las[i]), int(ys[i]), int(bs[i])) for i in range(k))
+
+
+def mc_success_rate(table, rel, k, trials, seed, chunk=512):
+    """Monte Carlo gathering chunk x k whole table rows and marking a
+    chunk x (n*omega)^2 presence array."""
+    n, omega = rel.n, rel.omega
+    arr = table_as_float(table)
+    target = np.array([
+        (((x - 1) * omega + a) * n + (y - 1)) * omega + b for x, a, y, b in rel.tuples
+    ])
+    rng = np.random.default_rng(seed)
+    successes = 0
+    done = 0
+    n_ids = n * omega * n * omega
+    while done < trials:
+        t = min(chunk, trials - done)
+        xs = rng.integers(0, n, size=(t, k))
+        las = rng.integers(0, omega, size=(t, k))
+        ys = rng.integers(0, n, size=(t, k))
+        rows = xs * omega + las
+        blocks = arr[rows.ravel()].reshape(t, k, n * omega)
+        take = (ys * omega)[..., None] + np.arange(omega)[None, None, :]
+        probs = np.take_along_axis(blocks, take, axis=2)
+        cdf = np.cumsum(probs, axis=2)
+        u = rng.random((t, k, 1))
+        bs = np.minimum((u > cdf).sum(axis=2), omega - 1)
+        ids = (rows * n + ys) * omega + bs
+        present = np.zeros((t, n_ids), dtype=bool)
+        present[np.arange(t)[:, None], ids] = True
+        successes += int(present[:, target].all(axis=1).sum())
+        done += t
+    rate = successes / trials
+    stderr = float(np.sqrt(max(rate * (1 - rate), 1e-12) / trials))
+    return rate, stderr
