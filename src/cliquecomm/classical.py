@@ -27,7 +27,7 @@ from .errors import (
     SearchExhaustedError,
 )
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph, check_conditions
-from .relation import Relation, selected_vertex
+from .relation import Relation, selected_vertex, slot_index
 from .tables import ProbTable, mix_tables
 
 
@@ -58,11 +58,12 @@ class ClassicalStrategy:
         scaled = {key: [(b, p.numerator * (den // p.denominator)) for b, p in dist]
                   for key, dist in weights.items()}
         num = [[0] * size for _ in range(size)]
+        starts = [slot_index(omega, y, 0) for y in range(1, n + 1)]
         for (x, a), msg in self.encoder.items():
-            row = num[(x - 1) * omega + a]
-            for y in range(1, n + 1):
+            row = num[slot_index(omega, x, a)]
+            for y, start in enumerate(starts, 1):
                 for b, p in scaled[(msg, y)]:
-                    row[(y - 1) * omega + b] = p
+                    row[start + b] = p
         return ProbTable.from_numerators(n, omega, num, den)
 
     def to_json(self) -> dict:

@@ -134,6 +134,8 @@ def cmd_graph(args) -> None:
         _emit(args, g.to_json(), {"family": args.family, "n": args.n,
                                   "omega": args.omega, "r": args.r, "q": args.q})
         return
+    if not args.infile:
+        raise InvalidParamsError("graph check needs --in")
     g = Graph.from_json(_load_json(args.infile))
     cliques = enumerate_maximum_cliques(g)
     report = check_conditions(g, cliques, dim_cap=args.cap)

@@ -25,7 +25,7 @@ from .errors import (
     UnverifiedRepresentationError,
 )
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph
-from .relation import Relation
+from .relation import Relation, selected_vertices
 from .tables import ProbTable, check_consistency
 from .tables import payoff as table_payoff
 
@@ -342,7 +342,7 @@ def quantum_table(strategy: QuantumStrategy, rel: Relation,
     n, omega = cliques.count, cliques.omega
     size = n * omega
     # one row per slot: the vector of the vertex that slot selects
-    u = np.array([strategy.rep.vector(v) for c in cliques.cliques for v in c])
+    u = np.array([strategy.rep.vector(v) for v in selected_vertices(cliques).tolist()])
     entries = np.clip(np.abs(u.conj() @ u.T) ** 2, 0.0, 1.0)
     blocks = entries.reshape(size, n, omega)
     residual = 1.0 - blocks.sum(axis=2)

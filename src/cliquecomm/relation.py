@@ -42,6 +42,21 @@ def selected_vertex(clique: tuple[int, ...], a: int) -> int:
     return clique[a]
 
 
+def slot_index(omega: int, x, a):
+    """Mask (and table) row of the slot (clique x, label a); elementwise on arrays."""
+    return (x - 1) * omega + a
+
+
+def slot_label(omega: int, s):
+    """The (clique, label) pair of slot s; the inverse of slot_index."""
+    return s // omega + 1, s % omega
+
+
+def selected_vertices(cliques: CliqueSet) -> np.ndarray:
+    """Slot -> the vertex its label selects: clique[a] for slot (x, a)."""
+    return np.asarray(cliques.cliques, dtype=np.intp).ravel()
+
+
 def labels_consistent(
     g: Graph, cliques: CliqueSet, x: int, a: int, y: int, b: int
 ) -> bool:
@@ -73,15 +88,22 @@ class Relation:
 
     def __init__(self, n: int, omega: int, tuples):
         n, omega = int(n), int(omega)
-        arr = np.asarray(list(tuples), dtype=np.int64).reshape(-1, 4)
-        x, a, y, b = arr.T
+        try:
+            arr = np.asarray(list(tuples))
+        except (TypeError, ValueError):  # not a sequence, or ragged nesting
+            arr = None
+        if arr is not None and arr.shape == (0,):
+            arr = np.empty((0, 4), dtype=np.int64)
+        if arr is None or arr.ndim != 2 or arr.shape[1] != 4 or arr.dtype.kind not in "iu":
+            raise InvalidParamsError("tuples must be a list of four-integer lists")
+        x, a, y, b = arr.astype(np.int64).T
         if not (
             ((1 <= x) & (x <= n) & (1 <= y) & (y <= n)).all()
             and ((0 <= a) & (a < omega) & (0 <= b) & (b < omega)).all()
         ):
             raise InvalidParamsError(f"tuple out of range for n={n}, omega={omega}")
         mask = np.zeros((n * omega, n * omega), dtype=bool)
-        mask[(x - 1) * omega + a, (y - 1) * omega + b] = True
+        mask[slot_index(omega, x, a), slot_index(omega, y, b)] = True
         self._init(n, omega, mask)
 
     @classmethod
@@ -112,8 +134,7 @@ class Relation:
     def _tuple_array(self) -> np.ndarray:
         """The tuples as a (size, 4) array, rows in lexicographic order."""
         r, c = np.nonzero(self.mask)
-        w = self.omega
-        return np.stack([r // w + 1, r % w, c // w + 1, c % w], axis=1)
+        return np.stack([*slot_label(self.omega, r), *slot_label(self.omega, c)], axis=1)
 
     @cached_property
     def tuples(self) -> tuple[tuple[int, int, int, int], ...]:
@@ -125,7 +146,7 @@ class Relation:
 
     def _slot(self, x: int, a: int) -> int | None:
         if 1 <= x <= self.n and 0 <= a < self.omega:
-            return (x - 1) * self.omega + a
+            return slot_index(self.omega, x, a)
         return None
 
     def __contains__(self, t) -> bool:
@@ -143,7 +164,8 @@ class Relation:
         r = self._slot(x, a)
         if r is None or not 1 <= y <= self.n:
             return ()
-        block = self.mask[r, (y - 1) * self.omega: y * self.omega]
+        start = slot_index(self.omega, y, 0)
+        block = self.mask[r, start:start + self.omega]
         return tuple(np.flatnonzero(block).tolist())
 
     def row_support(self, x: int, a: int) -> frozenset[tuple[int, int]]:
@@ -152,7 +174,7 @@ class Relation:
         if r is None:
             return frozenset()
         cols = np.flatnonzero(self.mask[r]).tolist()
-        return frozenset((c // self.omega + 1, c % self.omega) for c in cols)
+        return frozenset(slot_label(self.omega, c) for c in cols)
 
     def max_valid_outputs(self) -> int:
         """Largest number of admissible outputs over all input triples."""
@@ -181,10 +203,9 @@ def build_relation(g: Graph, cliques: CliqueSet) -> Relation:
     are total over the input set.
     """
     n, omega = cliques.count, cliques.omega
-    verts = np.asarray(cliques.cliques, dtype=np.intp)
-    selected = verts.ravel()  # slot -> selected vertex
+    selected = selected_vertices(cliques)
     member = np.zeros((n, g.order + 1), dtype=bool)
-    member[np.arange(n)[:, None], verts] = True
+    member[np.arange(n)[:, None], selected.reshape(n, omega)] = True
     adjacency = np.zeros((g.order + 1, g.order + 1), dtype=bool)
     if g.edges:
         u, v = np.array(sorted(g.edges)).T
@@ -198,8 +219,9 @@ def build_relation(g: Graph, cliques: CliqueSet) -> Relation:
     empty = np.argwhere(rel.output_counts() == 0)
     if len(empty):
         s, y = empty[0].tolist()
+        x, a = slot_label(omega, s)
         raise InconsistentRelationError(
-            f"input ({s // omega + 1},{s % omega},{y + 1}) admits no consistent output"
+            f"input ({x},{a},{y + 1}) admits no consistent output"
         )
     return rel
 
@@ -228,7 +250,7 @@ def infer_graph(rel: Relation, n: int, omega: int) -> tuple[Graph, tuple[tuple[t
     bad = bad_diagonal | empty.any(axis=1)
     if bad.any():
         s = int(np.argmax(bad))
-        x, a = s // omega + 1, s % omega
+        x, a = slot_label(omega, s)
         if bad_diagonal[s]:
             raise InconsistentRelationError(
                 f"diagonal determinism fails at clique {x}, label {a}"
@@ -264,6 +286,6 @@ def infer_graph(rel: Relation, n: int, omega: int) -> tuple[Graph, tuple[tuple[t
     order = np.argsort(class_of, kind="stable")
     members = np.split(order, np.cumsum(np.bincount(class_of, minlength=count))[:-1])
     classes = tuple(
-        tuple((s // omega + 1, s % omega) for s in m.tolist()) for m in members
+        tuple(slot_label(omega, s) for s in m.tolist()) for m in members
     )
     return Graph(count, edges), classes

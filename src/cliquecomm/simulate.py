@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, InconsistentRelationError, InvalidParamsError
-from .relation import Relation, infer_graph
+from .relation import Relation, infer_graph, slot_index
 from .tables import ProbTable, check_coverage
 
 GENERATOR = "pcg64"
@@ -59,7 +59,7 @@ def simulate_rounds(table: ProbTable, k: int, seed: int) -> RunLog:
     xs = rng.integers(1, n + 1, size=k)
     las = rng.integers(0, omega, size=k)
     ys = rng.integers(1, n + 1, size=k)
-    rows = (xs - 1) * omega + las
+    rows = slot_index(omega, xs, las)
     # per-round inverse-CDF draw inside the (row, y) block
     cdf = np.cumsum(blocks[rows, ys - 1], axis=1)
     u = rng.random((k, 1))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph
-from .relation import Relation, selected_vertex
+from .relation import Relation, selected_vertex, slot_index, slot_label
 
 ZERO_TOL = 1e-9
 
@@ -31,11 +31,6 @@ ZERO_TOL = 1e-9
 # the float view num / den is correctly rounded, as float(Fraction) is.
 # Past that they are Python ints in an object array, through the same code.
 EXACT_INT_LIMIT = 2 ** 53
-
-
-def _narrow(num: np.ndarray, den: int) -> np.ndarray:
-    big = den > EXACT_INT_LIMIT or (num.size and np.abs(num).max() > EXACT_INT_LIMIT)
-    return num.astype(object if big else np.int64, copy=False)
 
 
 class ProbTable:
@@ -66,36 +61,40 @@ class ProbTable:
             if len(rows) != size:
                 raise InvalidParamsError("bad row count")
             den = math.lcm(*{e.denominator for row in rows for e in row})
-            num = np.array([[e.numerator * (den // e.denominator) for e in row]
-                            for row in rows], dtype=object).reshape(size, size)
-            self.num, self.den = _narrow(num, den), den
-        else:
-            arr = np.asarray(entries, dtype=float)
-            if arr.shape != (size, size):
-                raise InvalidParamsError("bad table shape")
-            # fills the cached property, so float tables never compute it
-            self.entries = arr
+            num = [[e.numerator * (den // e.denominator) for e in row] for row in rows]
+            self._set_numerators(np.array(num, dtype=object).reshape(size, size), den)
+            return
+        arr = np.asarray(entries, dtype=float)
+        if arr.shape != (size, size):
+            raise InvalidParamsError("bad table shape")
+        # fills the cached property, so float tables never compute it
+        self.entries = arr
         self._validate()
 
     @classmethod
-    def from_numerators(cls, n: int, omega: int, num, den: int,
-                        subnormalized: bool = False) -> "ProbTable":
+    def from_numerators(cls, n: int, omega: int, num, den: int) -> "ProbTable":
         """Exact table with entries num / den (integers, as an array or
         nested lists), stored over the least common denominator."""
+        table = cls.__new__(cls)
+        table.n, table.omega, table.kind, table.subnormalized = n, omega, "exact", False
+        table._set_numerators(num, den)
+        return table
+
+    def _set_numerators(self, num, den: int):
+        """Store the exact entries num / den in lowest common terms, then validate."""
         num = np.asarray(num)
         den = int(den)
         if den <= 0:
             raise InvalidParamsError("denominator must be positive")
-        if num.shape != (n * omega, n * omega):
+        if num.shape != (self.n * self.omega, self.n * self.omega):
             raise InvalidParamsError("bad table shape")
         common = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
-        table = cls.__new__(cls)
-        table.n, table.omega, table.kind = n, omega, "exact"
-        table.subnormalized = subnormalized
-        table.den = den // common
-        table.num = _narrow(num // common, table.den)
-        table._validate()
-        return table
+        self.den = den // common
+        if common > 1:
+            num = num // common
+        big = self.den > EXACT_INT_LIMIT or (num.size and np.abs(num).max() > EXACT_INT_LIMIT)
+        self.num = num.astype(object if big else np.int64, copy=False)
+        self._validate()
 
     @cached_property
     def entries(self):
@@ -149,7 +148,7 @@ class ProbTable:
         )
 
     def row_index(self, x: int, a: int) -> int:
-        return (x - 1) * self.omega + a
+        return slot_index(self.omega, x, a)
 
     def entry_by_index(self, r: int, c: int):
         if self.kind == "exact":
@@ -244,7 +243,7 @@ class PayoffReport:
 
 
 def _tuple_at(omega: int, r: int, c: int) -> tuple[int, int, int, int]:
-    return r // omega + 1, r % omega, c // omega + 1, c % omega
+    return (*slot_label(omega, r), *slot_label(omega, c))
 
 
 def check_consistency(table: ProbTable, rel: Relation):

@@ -129,6 +129,23 @@ def test_relation_rejects_tuples_out_of_range():
             Relation(2, 2, [bad])
 
 
+@pytest.mark.parametrize("bad", [
+    [[1, 0, 1], [1, 1, 1], [2, 0, 2], [2, 1, 2]],  # four triples, 12 integers
+    [1, 0, 1, 0],  # one flat tuple
+    [[1, 0, 1, 0], [1, 1]],  # ragged
+    [[1.7, 0, 1, 0]],  # not integers
+    [["1", "0", "1", "0"]],
+    5,
+])
+def test_relation_rejects_malformed_tuples(bad):
+    with pytest.raises(InvalidParamsError):
+        Relation(2, 2, bad)
+
+
+def test_relation_accepts_no_tuples():
+    assert Relation(2, 2, []).size == 0 and Relation(2, 2, set()).tuples == ()
+
+
 def test_relation_equality_and_hash_follow_the_mask():
     rel = build_relation(gen_nncc(2, 3, 1), enumerate_maximum_cliques(gen_nncc(2, 3, 1)))
     again = Relation(rel.n, rel.omega, reversed(rel.tuples))

@@ -29,6 +29,24 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("tuples", [
+    [[1, 0, 1], [1, 1, 1], [2, 0, 2], [2, 1, 2]],
+    [1, 0, 1, 0],
+    [[1, 0, 1, 0], [1, 1]],
+    [[1.7, 0, 1, 0]],
+    5,
+])
+def test_malformed_relation_tuples_exit_2(tmp_path, capsys, tuples):
+    rel = write(tmp_path, "rel.json", {"n": 2, "omega": 2, "tuples": tuples})
+    code, err = run(capsys, "relation", "infer", "--in", rel)
+    assert code == 2 and err.startswith("error:")
+
+
+def test_graph_check_without_input_exits_2(capsys):
+    code, err = run(capsys, "graph", "check")
+    assert code == 2 and err.startswith("error:")
+
+
 def test_partial_relation_exits_3(tmp_path, capsys):
     rel = write(tmp_path, "rel.json", {"n": 2, "omega": 2, "tuples": [[1, 0, 1, 0]]})
     code, err = run(capsys, "relation", "infer", "--in", rel)
