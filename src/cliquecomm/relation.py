@@ -52,6 +52,24 @@ def slot_label(omega: int, s):
     return s // omega + 1, s % omega
 
 
+def four_int_rows(rows, what: str) -> np.ndarray:
+    """`rows` as an (m, 4) int64 array.
+
+    Raises InvalidParamsError unless `rows` is a list of four-integer
+    lists: a flat list, rows of another width, ragged nesting, floats,
+    strings and non-sequences are refused rather than regrouped or cut.
+    """
+    try:
+        arr = np.asarray(list(rows))
+    except (TypeError, ValueError):  # not a sequence, or ragged nesting
+        arr = None
+    if arr is not None and arr.shape == (0,):
+        arr = np.empty((0, 4), dtype=np.int64)
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 4 or arr.dtype.kind not in "iu":
+        raise InvalidParamsError(f"{what} must be a list of four-integer lists")
+    return arr.astype(np.int64)
+
+
 def selected_vertices(cliques: CliqueSet) -> np.ndarray:
     """Slot -> the vertex its label selects: clique[a] for slot (x, a)."""
     return np.asarray(cliques.cliques, dtype=np.intp).ravel()
@@ -88,15 +106,7 @@ class Relation:
 
     def __init__(self, n: int, omega: int, tuples):
         n, omega = int(n), int(omega)
-        try:
-            arr = np.asarray(list(tuples))
-        except (TypeError, ValueError):  # not a sequence, or ragged nesting
-            arr = None
-        if arr is not None and arr.shape == (0,):
-            arr = np.empty((0, 4), dtype=np.int64)
-        if arr is None or arr.ndim != 2 or arr.shape[1] != 4 or arr.dtype.kind not in "iu":
-            raise InvalidParamsError("tuples must be a list of four-integer lists")
-        x, a, y, b = arr.astype(np.int64).T
+        x, a, y, b = four_int_rows(tuples, "tuples").T
         if not (
             ((1 <= x) & (x <= n) & (1 <= y) & (y <= n)).all()
             and ((0 <= a) & (a < omega) & (0 <= b) & (b < omega)).all()

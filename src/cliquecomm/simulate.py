@@ -6,6 +6,16 @@ admissible tuples and the observed support grows towards the relation.  The
 exact probability that k rounds have shown every admissible tuple at least
 once is the inclusion-exclusion sum over tuple subsets, a coupon-collector
 computation with unequal coupon probabilities.
+
+`simulate_rounds` and `mc_success_rate` share one inverse-CDF sampler.  It
+takes the cumulative sums of every (row, y) block of the table once per
+call and keeps them as omega - 1 flat columns indexed by the block
+`row * n + (y - 1)`.  A round's output is the number of those block CDF
+steps its uniform draw exceeds: the first output whose CDF reaches the
+draw, or the last output when none does (the residual of a subnormalized
+block falls on it).  Logs and the observed support stay arrays: a `RunLog`
+holds a (k, 4) integer array, and `reconstruct` scatters it into a
+relation mask.
 """
 
 from __future__ import annotations
@@ -13,38 +23,90 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import CapExceededError, InconsistentRelationError, InvalidParamsError
-from .relation import Relation, infer_graph, slot_index
+from .relation import Relation, four_int_rows, infer_graph, slot_index
 from .tables import ProbTable, check_coverage
 
 GENERATOR = "pcg64"
 
 
-@dataclass(frozen=True)
 class RunLog:
-    """Observed (x, a, y, b) tuples with the seed that reproduces them."""
+    """Observed (x, a, y, b) rounds with the seed that reproduces them.
 
-    rounds: tuple[tuple[int, int, int, int], ...]
-    k: int
-    seed: int
-    generator: str = GENERATOR
+    `array` is a read-only (k, 4) int64 array, one round per row, and
+    `rounds` is a tuple view of it built on first use.
+    `RunLog(rounds, k, seed)` takes the rounds as a list of four-integer
+    lists; `RunLog.from_array` takes the array as given.
+    """
+
+    def __init__(self, rounds, k: int, seed: int, generator: str = GENERATOR):
+        self._init(four_int_rows(rounds, "rounds"), k, seed, generator)
+
+    @classmethod
+    def from_array(cls, array: np.ndarray, seed: int) -> "RunLog":
+        log = cls.__new__(cls)
+        log._init(np.array(array, dtype=np.int64), len(array), seed, GENERATOR)
+        return log
+
+    def _init(self, array: np.ndarray, k: int, seed: int, generator: str):
+        if array.ndim != 2 or array.shape[1] != 4:
+            raise InvalidParamsError("a run log holds one (x, a, y, b) row per round")
+        if int(k) != len(array):
+            raise InvalidParamsError(f"k={k} but the log holds {len(array)} rounds")
+        array.flags.writeable = False
+        self.array, self.k, self.seed, self.generator = array, int(k), seed, generator
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, RunLog)
+            and (self.k, self.seed, self.generator) == (other.k, other.seed, other.generator)
+            and np.array_equal(self.array, other.array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.seed, self.generator, self.array.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"RunLog(k={self.k}, seed={self.seed}, generator={self.generator!r})"
+
+    @cached_property
+    def rounds(self) -> tuple[tuple[int, int, int, int], ...]:
+        return tuple(zip(*self.array.T.tolist()))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["round", "x", "a", "y", "b"])
-        for i, (x, a, y, b) in enumerate(self.rounds):
-            writer.writerow([i, x, a, y, b])
+        writer.writerows(zip(range(self.k), *self.array.T.tolist()))
         return buf.getvalue()
 
 
-def _blocks(table: ProbTable) -> np.ndarray:
-    """The float table as an (n*omega, n, omega) array of (row, y) blocks."""
-    size = table.n * table.omega
-    return table.as_float().reshape(size, table.n, table.omega)
+def _output_sampler(table: ProbTable):
+    """Bob's inverse-CDF sampler for `table`: draw(blocks, u) -> outputs.
+
+    `blocks` holds each round's block index row * n + (y - 1) and `u` its
+    uniform draw in [0, 1).  The output is the count of block CDF values
+    below u over the first omega - 1 outputs.  The CDF of nonnegative
+    entries is nondecreasing, so this equals counting over all omega of
+    them and capping at omega - 1, float for float.
+    """
+    n, omega = table.n, table.omega
+    cdf = np.cumsum(table.as_float().reshape(n * omega, n, omega), axis=2)
+    columns = np.ascontiguousarray(cdf.reshape(-1, omega)[:, :-1].T)
+
+    def draw(blocks: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # the smallest dtype that holds omega - 1: adding booleans into it
+        # costs a fraction of adding them into int64
+        outputs = np.zeros(blocks.shape, dtype=np.min_scalar_type(omega))
+        for column in columns:
+            outputs += u > column.take(blocks)
+        return outputs
+
+    return draw
 
 
 def simulate_rounds(table: ProbTable, k: int, seed: int) -> RunLog:
@@ -55,20 +117,12 @@ def simulate_rounds(table: ProbTable, k: int, seed: int) -> RunLog:
     rng = np.random.default_rng(seed)
     if k == 0:
         return RunLog((), 0, seed)
-    blocks = _blocks(table)
+    draw = _output_sampler(table)
     xs = rng.integers(1, n + 1, size=k)
     las = rng.integers(0, omega, size=k)
     ys = rng.integers(1, n + 1, size=k)
-    rows = slot_index(omega, xs, las)
-    # per-round inverse-CDF draw inside the (row, y) block
-    cdf = np.cumsum(blocks[rows, ys - 1], axis=1)
-    u = rng.random((k, 1))
-    bs = (u > cdf).sum(axis=1)
-    bs = np.minimum(bs, omega - 1)
-    rounds = tuple(
-        (int(xs[i]), int(las[i]), int(ys[i]), int(bs[i])) for i in range(k)
-    )
-    return RunLog(rounds, k, seed)
+    bs = draw(slot_index(omega, xs, las) * n + ys - 1, rng.random(k))
+    return RunLog.from_array(np.stack([xs, las, ys, bs], axis=1), seed)
 
 
 @dataclass(frozen=True)
@@ -87,25 +141,31 @@ def reconstruct(log: RunLog, n: int, omega: int,
     The estimate counts as a success only when every input triple was seen
     at least once (otherwise totality cannot be judged) and the support
     matches the true relation exactly.  When the estimate is total, the host
-    graph is inferred from it as well.
+    graph is inferred from it as well.  Rounds outside the n x omega index
+    stay in `observed`; an input out of range leaves the inputs uncovered,
+    and an output out of range fails the reconstruction.
     """
-    observed = tuple(sorted(set(log.rounds)))
-    seen_inputs = {(x, a, y) for x, a, y, _ in observed}
-    all_inputs = {
-        (x, a, y)
-        for x in range(1, n + 1)
-        for a in range(omega)
-        for y in range(1, n + 1)
-    }
-    covered = seen_inputs == all_inputs
+    x, a, y, b = log.array.T
+    asked = (1 <= x) & (x <= n) & (0 <= a) & (a < omega) & (1 <= y) & (y <= n)
+    answered = (0 <= b) & (b < omega)
+    # slot omega of each (row, y) block records an input answered out of range
+    seen = np.zeros((n * omega, n, omega + 1), dtype=bool)
+    seen[slot_index(omega, x[asked], a[asked]), y[asked] - 1,
+         np.where(answered, b, omega)[asked]] = True
+    covered = bool(asked.all() and seen.any(axis=2).all())
+    support = Relation.from_mask(n, omega, seen[:, :, :omega].reshape(n * omega, n * omega))
+    observed = support.tuples
+    stray = log.array[~(asked & answered)]
+    if len(stray):
+        observed = tuple(sorted(set(observed).union(map(tuple, stray.tolist()))))
     success = None
     if truth is not None:
-        success = covered and observed == truth.tuples
+        success = covered and not len(stray) and support == truth
     graph = None
     classes = ()
-    if covered:
+    if covered and not len(stray):
         try:
-            graph, classes = infer_graph(Relation(n, omega, observed), n, omega)
+            graph, classes = infer_graph(support, n, omega)
         except (InconsistentRelationError, InvalidParamsError):
             graph = None  # partial support need not be a coherent relation
     return ReconstructionResult(observed, covered, success, graph, classes)
@@ -147,14 +207,27 @@ def success_prob_exact(table: ProbTable, rel: Relation, k: int,
 def mc_success_rate(table: ProbTable, rel: Relation, k: int, trials: int,
                     seed: int, chunk: int = 512) -> tuple[float, float]:
     """Monte-Carlo estimate of the reconstruction probability, with its
-    binomial standard error.  Trials are vectorized in chunks; a chunk
-    holds its rounds' omega-wide table blocks, never whole table rows."""
-    n, omega = rel.n, rel.omega
-    blocks = _blocks(table)
+    binomial standard error.  Trials are vectorized in chunks of (trial,
+    round) arrays.  Without drawing, the rate is 0 when k < |R| (k rounds
+    show at most k tuples) or when the table gives some admissible tuple
+    probability zero, as in `success_prob_exact`."""
+    if k < rel.size or not check_coverage(table, rel)[0]:
+        rate = 0.0
+    else:
+        rate = _mc_successes(table, rel, k, trials, seed, chunk) / trials
+    stderr = float(np.sqrt(max(rate * (1 - rate), 1e-12) / trials))
+    return rate, stderr
+
+
+def _mc_successes(table: ProbTable, rel: Relation, k: int, trials: int,
+                  seed: int, chunk: int) -> int:
+    """Trials whose k rounds show every tuple of rel."""
+    n, omega, size = rel.n, rel.omega, rel.size
+    draw = _output_sampler(table)
     # tuple id ((row * n) + y) * omega + b -> index among the relation's
-    # tuples, or -1 outside the relation
-    target = np.full(rel.mask.size, -1, dtype=np.int64)
-    target[np.flatnonzero(rel.mask)] = np.arange(rel.size)
+    # tuples, or size outside the relation
+    target = np.full(rel.mask.size, size, dtype=np.intp)
+    target[np.flatnonzero(rel.mask)] = np.arange(size)
     rng = np.random.default_rng(seed)
     successes = 0
     done = 0
@@ -163,21 +236,16 @@ def mc_success_rate(table: ProbTable, rel: Relation, k: int, trials: int,
         xs = rng.integers(0, n, size=(t, k))
         las = rng.integers(0, omega, size=(t, k))
         ys = rng.integers(0, n, size=(t, k))
-        rows = xs * omega + las
-        cdf = np.cumsum(blocks[rows, ys], axis=2)
-        u = rng.random((t, k, 1))
-        bs = (u > cdf).sum(axis=2)
-        bs = np.minimum(bs, omega - 1)
-        # a trial succeeds when its rounds show rel.size distinct tuples
-        seen = np.sort(target[(rows * n + ys) * omega + bs], axis=1)
-        fresh = np.ones_like(seen, dtype=bool)
-        fresh[:, 1:] = seen[:, 1:] != seen[:, :-1]
-        distinct = (fresh & (seen >= 0)).sum(axis=1)
-        successes += int((distinct == rel.size).sum())
+        blocks = (xs * omega + las) * n + ys
+        bs = draw(blocks, rng.random((t, k)))
+        # k >= size, so the (trial, tuple) presence array is no larger
+        # than the chunk's (trial, round) arrays
+        present = np.zeros((t, size + 1), dtype=bool)
+        offsets = np.arange(t)[:, None] * (size + 1)
+        present.ravel()[target.take(blocks * omega + bs) + offsets] = True
+        successes += int(present[:, :size].all(axis=1).sum())
         done += t
-    rate = successes / trials
-    stderr = float(np.sqrt(max(rate * (1 - rate), 1e-12) / trials))
-    return rate, stderr
+    return successes
 
 
 def payoff_vs_rounds_report(table: ProbTable, rel: Relation,

@@ -8,12 +8,21 @@ slot pair at a time, through public accessors only (`rel.tuples`,
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from cliquecomm import Graph, InconsistentRelationError, InvalidParamsError, labels_consistent
+from cliquecomm import (
+    Graph,
+    InconsistentRelationError,
+    InvalidParamsError,
+    Relation,
+    labels_consistent,
+)
+from cliquecomm.simulate import ReconstructionResult
 from cliquecomm.tables import ZERO_TOL
 
 
@@ -282,3 +291,38 @@ def mc_success_rate(table, rel, k, trials, seed, chunk=512):
     rate = successes / trials
     stderr = float(np.sqrt(max(rate * (1 - rate), 1e-12) / trials))
     return rate, stderr
+
+
+def run_log_csv(rounds):
+    """A run log's CSV, written round by round."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["round", "x", "a", "y", "b"])
+    for i, (x, a, y, b) in enumerate(rounds):
+        writer.writerow([i, x, a, y, b])
+    return buf.getvalue()
+
+
+def reconstruct(rounds, n, omega, truth=None):
+    """The observed support as a sorted set of tuples, with coverage judged
+    on the set of input triples seen."""
+    observed = tuple(sorted(set(rounds)))
+    seen_inputs = {(x, a, y) for x, a, y, _ in observed}
+    all_inputs = {
+        (x, a, y)
+        for x in range(1, n + 1)
+        for a in range(omega)
+        for y in range(1, n + 1)
+    }
+    covered = seen_inputs == all_inputs
+    success = None
+    if truth is not None:
+        success = covered and observed == truth.tuples
+    graph = None
+    classes = ()
+    if covered:
+        try:
+            graph, classes = infer_graph(Relation(n, omega, observed), n, omega)
+        except (InconsistentRelationError, InvalidParamsError):
+            graph = None
+    return ReconstructionResult(observed, covered, success, graph, classes)

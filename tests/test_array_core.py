@@ -22,8 +22,10 @@ from cliquecomm import (
     ProbTable,
     QuantumStrategy,
     Relation,
+    RunLog,
     build_relation,
     build_representation,
+    ccr_protocol,
     check_conditions,
     check_consistency,
     check_coverage,
@@ -39,6 +41,7 @@ from cliquecomm import (
     optimal_gram,
     payoff,
     quantum_table,
+    reconstruct,
     sccr_protocol,
     simulate_rounds,
 )
@@ -129,14 +132,17 @@ def test_relation_rejects_tuples_out_of_range():
             Relation(2, 2, [bad])
 
 
-@pytest.mark.parametrize("bad", [
+MALFORMED_ROWS = [
     [[1, 0, 1], [1, 1, 1], [2, 0, 2], [2, 1, 2]],  # four triples, 12 integers
     [1, 0, 1, 0],  # one flat tuple
     [[1, 0, 1, 0], [1, 1]],  # ragged
     [[1.7, 0, 1, 0]],  # not integers
     [["1", "0", "1", "0"]],
     5,
-])
+]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_ROWS)
 def test_relation_rejects_malformed_tuples(bad):
     with pytest.raises(InvalidParamsError):
         Relation(2, 2, bad)
@@ -361,3 +367,114 @@ def test_simulation_matches_whole_row_gather(family):
         input_p = 1.0 / (rel.n * rel.n * rel.omega)
         loop = [float(table.prob(*t)) * input_p for t in rel.tuples]
         assert tuple_probabilities(table, rel).tolist() == loop
+
+
+@pytest.mark.parametrize("family", ["nncc(2,3,1)", "disconnected(3,3)"])
+def test_sampler_matches_gather_on_subnormalized_tables(family):
+    # the residual of each block falls on its last output in both, also
+    # where that output's entry is zero
+    g, cliques, rel = instance(FAMILIES[family]())
+    full = sccr_protocol(g, cliques, rel).table(rel.n, rel.omega).as_float()
+    table = ProbTable(rel.n, rel.omega, 0.75 * full, kind="float", subnormalized=True)
+    assert (full == 0).any()
+    assert simulate_rounds(table, 300, 4).rounds == oracle.simulate_rounds(table, 300, 4)
+    k = rel.size + 40
+    assert mc_success_rate(table, rel, k, 300, seed=5, chunk=128) == \
+        oracle.mc_success_rate(table, rel, k, 300, seed=5, chunk=128)
+
+
+@pytest.mark.parametrize("family", ["nncc(2,3,1)", "disconnected(3,2)"])
+def test_mc_without_draws_matches_gather(family):
+    g, cliques, rel = instance(FAMILIES[family]())
+    table = sccr_protocol(g, cliques, rel).table(rel.n, rel.omega)
+    # fewer rounds than tuples: pigeonhole
+    for k in (1, rel.size - 1):
+        assert mc_success_rate(table, rel, k, 50, seed=3) == \
+            oracle.mc_success_rate(table, rel, k, 50, seed=3)
+    # a deterministic table gives some admissible tuple probability zero
+    det = ccr_protocol(g, cliques, rel).table(rel.n, rel.omega)
+    assert not check_coverage(det, rel)[0]
+    assert mc_success_rate(det, rel, 4 * rel.size, 50, seed=3) == \
+        oracle.mc_success_rate(det, rel, 4 * rel.size, 50, seed=3) == (0.0, math.sqrt(1e-12 / 50))
+
+
+# ---------------------------------------------------------------------------
+# Run logs and reconstruction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", MALFORMED_ROWS)
+def test_run_log_rejects_malformed_rounds(bad):
+    with pytest.raises(InvalidParamsError):
+        RunLog(bad, 4, 0)
+
+
+def test_run_log_holds_its_rounds_as_an_array():
+    rounds = ((1, 0, 2, 1), (2, 1, 1, 0), (1, 0, 2, 1))
+    log = RunLog(rounds, 3, 7)
+    assert log.array.dtype == np.int64 and log.array.shape == (3, 4)
+    assert not log.array.flags.writeable
+    assert log.rounds == rounds and log == RunLog(list(rounds), 3, 7)
+    assert hash(log) == hash(RunLog(list(rounds), 3, 7)) and log != RunLog(rounds, 3, 8)
+    assert RunLog([], 0, 1).rounds == () and RunLog([], 0, 1).to_csv() == "round,x,a,y,b\r\n"
+    with pytest.raises(InvalidParamsError):
+        RunLog(rounds, 4, 7)  # k disagrees with the rounds
+
+
+LOG_FAMILIES = ["disconnected(1,3)", "disconnected(2,2)", "nncc(2,3,1)", "paley(5)"]
+
+
+@st.composite
+def run_logs(draw):
+    """(relation, rounds): the whole relation, a log seeing every input but
+    with arbitrary outputs, or a part of the relation; then a few rounds
+    drawn around the index range, some of them out of it, and a shuffle."""
+    rel = instance(FAMILIES[draw(st.sampled_from(LOG_FAMILIES))]())[2]
+    n, omega = rel.n, rel.omega
+    kind = draw(st.sampled_from(["relation", "covering", "partial"]))
+    if kind == "relation":
+        rounds = list(rel.tuples)
+    elif kind == "covering":
+        rounds = [(x, a, y, draw(st.integers(0, omega - 1)))
+                  for x, a, y in itertools.product(range(1, n + 1), range(omega),
+                                                   range(1, n + 1))]
+        rounds += draw(st.lists(st.sampled_from(rel.tuples), max_size=8))
+    else:
+        rounds = draw(st.lists(st.sampled_from(rel.tuples), max_size=2 * rel.size))
+    around = st.tuples(st.integers(0, n + 1), st.integers(-1, omega),
+                       st.integers(0, n + 1), st.integers(-1, omega))
+    rounds += draw(st.lists(around, max_size=3))
+    return rel, draw(st.permutations(rounds))
+
+
+def assert_reconstruct_matches_loop(rounds, rel, truth):
+    log = RunLog(rounds, len(rounds), 0)
+    got = reconstruct(log, rel.n, rel.omega, truth=truth)
+    want = oracle.reconstruct(log.rounds, rel.n, rel.omega, truth=truth)
+    assert got.observed == want.observed
+    assert got.inputs_covered == want.inputs_covered
+    assert got.success == want.success
+    assert got.inferred_graph == want.inferred_graph
+    assert got.inferred_classes == want.inferred_classes
+    assert log.to_csv() == oracle.run_log_csv(rounds)
+
+
+@PROPERTY
+@given(run_logs(), st.booleans())
+def test_reconstruct_matches_loop_on_random_logs(log, with_truth):
+    rel, rounds = log
+    assert_reconstruct_matches_loop(rounds, rel, rel if with_truth else None)
+
+
+@pytest.mark.parametrize("stray,covered", [
+    ((0, 0, 1, 0), False), ((1, 3, 1, 0), False), ((1, 0, 3, 0), False),
+    ((1, 0, 1, 3), True), ((1, 0, 1, -1), True),
+])
+def test_reconstruct_keeps_out_of_range_rounds(stray, covered):
+    rel = instance(FAMILIES["disconnected(2,3)"]())[2]
+    # the stray round is the only sighting of its input
+    rounds = [t for t in rel.tuples if t[:3] != stray[:3]] + [stray]
+    assert_reconstruct_matches_loop(rounds, rel, rel)
+    res = reconstruct(RunLog(rounds, len(rounds), 0), rel.n, rel.omega, truth=rel)
+    assert stray in res.observed
+    assert res.inputs_covered is covered
+    assert res.success is False and res.inferred_graph is None
