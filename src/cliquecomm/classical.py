@@ -178,7 +178,8 @@ def sccr_protocol(g: Graph, cliques: CliqueSet, rel: Relation) -> ClassicalStrat
     bound.  Requires every vertex covered by a maximum clique and all
     cross-clique vertex pairs distinguishable.
     """
-    report = check_conditions(g, cliques)
+    # only G0 and G1 are read; dim_cap=0 skips the connectivity search
+    report = check_conditions(g, cliques, dim_cap=0)
     if not report.reconstruction_ready:
         raise ConditionsNotMetError(
             "graph must cover all vertices and distinguish cross-clique pairs"

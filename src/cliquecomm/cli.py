@@ -138,7 +138,7 @@ def cmd_graph(args) -> None:
         raise InvalidParamsError("graph check needs --in")
     g = Graph.from_json(_load_json(args.infile))
     cliques = enumerate_maximum_cliques(g)
-    report = check_conditions(g, cliques, dim_cap=args.cap)
+    report = check_conditions(g, cliques, dim_cap=g.order)
     _emit(args, {
         "G0": report.covers_all_vertices,
         "G1": report.pairs_distinguishable,
@@ -188,9 +188,6 @@ def cmd_complexity(args) -> None:
 
 
 def cmd_quantum(args) -> None:
-    if args.action == "paley":
-        _emit(args, paley_analyze(args.q), {"q": args.q})
-        return
     if args.action == "rsp":
         if args.symmetric:
             angles = symmetric_equatorial_angles(args.n)
@@ -270,15 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="clique-labelling communication games: graphs, relations, protocols",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=1e-9)
-    parser.add_argument("--cap", type=int, default=5_000_000)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     # the same globals are accepted after the subcommand; SUPPRESS keeps an
     # omitted flag from clobbering a value given before it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--cap", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -301,13 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("action", choices=["ccr", "sccr", "lowerbound"])
     p_cx.add_argument("--in", dest="infile", required=True)
     p_cx.add_argument("--m", type=int, default=0)
+    p_cx.add_argument("--cap", type=int, default=5_000_000,
+                      help="search-node cap of lowerbound")
     p_cx.set_defaults(func=cmd_complexity)
 
     p_q = sub.add_parser("quantum", parents=[common], help="quantum strategies and analyses")
-    p_q.add_argument("action", choices=["table", "optimize", "paley", "mub", "rsp"])
+    p_q.add_argument("action", choices=["table", "optimize", "mub", "rsp"])
     p_q.add_argument("--in", dest="infile")
     p_q.add_argument("--d", type=int, default=0)
-    p_q.add_argument("--q", type=int, default=5)
+    p_q.add_argument("--tol", type=float, default=1e-9, help="overlap tolerance of mub")
     p_q.add_argument("--n", type=int, default=4)
     p_q.add_argument("--restarts", type=int, default=32)
     p_q.add_argument("--symmetric", action="store_true")

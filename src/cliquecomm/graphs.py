@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import networkx as nx
+import numpy as np
 
 from .errors import EmptyGraphError, InvalidParamsError
 
@@ -27,7 +28,12 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    """Simple undirected graph on vertices 1..order."""
+    """Simple undirected graph on vertices 1..order.
+
+    `adjacency` is a read-only boolean (order+1) x (order+1) matrix indexed
+    by vertex number; row and column 0 stay false, so a vertex array
+    indexes it directly.
+    """
 
     def __init__(self, order: int, edges):
         if order < 0:
@@ -40,19 +46,21 @@ class Graph:
             es.add(e)
         self.order = order
         self.edges = frozenset(es)
-        self._adj = {v: set() for v in range(1, order + 1)}
-        for u, v in self.edges:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
+        adjacency = np.zeros((order + 1, order + 1), dtype=bool)
+        if es:
+            u, v = np.array(list(es)).T
+            adjacency[u, v] = adjacency[v, u] = True
+        adjacency.flags.writeable = False
+        self.adjacency = adjacency
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool(self.adjacency[u, v])
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(self._adj[v])
+        return frozenset(np.flatnonzero(self.adjacency[v]).tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(np.count_nonzero(self.adjacency[v]))
 
     @property
     def vertices(self) -> range:
@@ -239,21 +247,21 @@ def gen_paley(q: int) -> Graph:
     return Graph(q, edges)
 
 
+def clique_membership(cliques: CliqueSet, order: int) -> np.ndarray:
+    """Boolean n x (order+1) matrix: entry [i, v] says whether clique i+1 holds v."""
+    member = np.zeros((cliques.count, order + 1), dtype=bool)
+    member[np.arange(cliques.count)[:, None], np.asarray(cliques.cliques)] = True
+    return member
+
+
 def complement(g: Graph) -> Graph:
-    edges = [
-        (u, v)
-        for u in g.vertices
-        for v in range(u + 1, g.order + 1)
-        if not g.adjacent(u, v)
-    ]
-    return Graph(g.order, edges)
+    # row-major (u, v) insertion: a frozenset's iteration order depends on it
+    upper = np.triu(~g.adjacency[1:, 1:], k=1)
+    return Graph(g.order, (np.argwhere(upper) + 1).tolist())
 
 
 def _covers_all_vertices(g: Graph, cliques: CliqueSet) -> bool:
-    covered = set()
-    for c in cliques.cliques:
-        covered.update(c)
-    return covered == set(g.vertices)
+    return bool(clique_membership(cliques, g.order)[:, 1:].any(axis=0).all())
 
 
 def _pairs_distinguishable(g: Graph, cliques: CliqueSet) -> bool:
@@ -261,14 +269,16 @@ def _pairs_distinguishable(g: Graph, cliques: CliqueSet) -> bool:
     # a witness vertex adjacent to exactly one of them.  Such a witness exists
     # iff the two neighborhoods differ (an adjacent pair always has one: each
     # endpoint witnesses the other).
-    membership = {v: set(cliques.cliques_containing(v)) for v in g.vertices}
-    for v, w in itertools.combinations(g.vertices, 2):
-        in_distinct = any(i != j for i in membership[v] for j in membership[w])
-        if not in_distinct:
-            continue
-        if g.neighbors(v) == g.neighbors(w):
-            return False
-    return True
+    member = clique_membership(cliques, g.order).astype(np.int64)
+    counts = member.sum(axis=0)
+    # |C(v)| |C(w)| - |C(v) & C(w)| counts the clique pairs i != j with v in
+    # clique i and w in clique j
+    in_distinct = np.outer(counts, counts) > member.T @ member
+    adj = g.adjacency.astype(np.int64)
+    # neighbours of v that are not neighbours of w
+    only_first = adj @ (1 - adj).T
+    same_neighbours = (only_first == 0) & (only_first.T == 0)
+    return not np.triu(in_distinct & same_neighbours, k=1).any()
 
 
 def _complement_connectivity(g: Graph) -> int:

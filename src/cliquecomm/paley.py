@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailedError, InvalidParamsError
-from .graphs import complement, gen_paley, is_prime
+from .graphs import gen_paley, is_prime
 from .quantum import OrthogonalRepresentation
 
 SPECTRUM_TOL = 1e-9
@@ -57,12 +57,7 @@ def verify_character_square(q: int) -> bool:
 
 
 def adjacency_matrix(q: int) -> np.ndarray:
-    g = gen_paley(q)
-    a = np.zeros((q, q), dtype=np.int64)
-    for u, v in g.edges:
-        a[u - 1, v - 1] = 1
-        a[v - 1, u - 1] = 1
-    return a
+    return gen_paley(q).adjacency[1:, 1:].astype(np.int64)
 
 
 def adjacency_from_character(q: int) -> np.ndarray:
@@ -124,12 +119,7 @@ def optimal_gram(q: int) -> GramReport:
     q^(3/2).
     """
     _require_paley_prime(q)
-    g = gen_paley(q)
-    comp = complement(g)
-    a_comp = np.zeros((q, q))
-    for u, v in comp.edges:
-        a_comp[u - 1, v - 1] = 1
-        a_comp[v - 1, u - 1] = 1
+    a_comp = ~gen_paley(q).adjacency[1:, 1:] & ~np.eye(q, dtype=bool)
     m = np.eye(q) + 2 / (np.sqrt(q) + 1) * a_comp
     eigs = np.linalg.eigvalsh(m)
     rank = int(np.sum(eigs > RANK_TOL))

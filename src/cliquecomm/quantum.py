@@ -24,7 +24,7 @@ from .errors import (
     InvalidParamsError,
     UnverifiedRepresentationError,
 )
-from .graphs import SCHEMA_VERSION, CliqueSet, Graph
+from .graphs import SCHEMA_VERSION, CliqueSet, Graph, clique_membership
 from .relation import Relation, selected_vertices
 from .tables import ProbTable, check_consistency
 from .tables import payoff as table_payoff
@@ -66,6 +66,9 @@ class OrthogonalRepresentation:
         return cls(int(data["d"]), vectors)
 
 
+VIOLATION_KINDS = (None, "edge_not_orthogonal", "nonedge_orthogonal", "duplicate_vector")
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     ok: bool
@@ -91,16 +94,16 @@ def verify_representation(
             violations.append(("norm", v, None, norm))
     if violations:
         return VerificationReport(False, tuple(violations))
-    for u, v in itertools.combinations(g.vertices, 2):
-        ov = rep.overlap_sq(u, v)
-        if g.adjacent(u, v):
-            if ov > tol:
-                violations.append(("edge_not_orthogonal", u, v, ov))
-        else:
-            if ov <= tol:
-                violations.append(("nonedge_orthogonal", u, v, ov))
-            elif abs(ov - 1) <= tol:
-                violations.append(("duplicate_vector", u, v, ov))
+    vecs = np.array([rep.vectors[v] for v in g.vertices])
+    overlap = np.abs(vecs.conj() @ vecs.T) ** 2
+    adj = g.adjacency[1:, 1:]
+    # 0 for a sound pair, else the index of its kind in VIOLATION_KINDS
+    kind = np.select(
+        [adj & (overlap > tol), ~adj & (overlap <= tol), ~adj & (np.abs(overlap - 1) <= tol)],
+        [1, 2, 3],
+    )
+    for i, j in np.argwhere(np.triu(kind, k=1)).tolist():
+        violations.append((VIOLATION_KINDS[kind[i, j]], i + 1, j + 1, float(overlap[i, j])))
     return VerificationReport(not violations, tuple(violations))
 
 
@@ -129,41 +132,35 @@ def _generic_unitary(dim: int, offset: int = 0) -> np.ndarray:
     return np.diag(phases) @ rot
 
 
+def _clique_overlaps(g: Graph, cliques: CliqueSet) -> tuple[np.ndarray, np.ndarray]:
+    """(shared, within): shared[i, j] counts the vertices cliques i+1 and
+    j+1 share; within[u, v] says whether vertices u and v lie in a common
+    clique, so its diagonal marks the covered vertices."""
+    member = clique_membership(cliques, g.order).astype(np.int64)
+    return member @ member.T, member.T @ member > 0
+
+
 def _partitioned(g: Graph, cliques: CliqueSet) -> bool:
-    seen = set()
-    for c in cliques.cliques:
-        if seen & set(c):
-            return False
-        seen.update(c)
-    if seen != set(g.vertices):
-        return False
-    blocks = {v: i for i, c in enumerate(cliques.cliques) for v in c}
-    return all(blocks[u] == blocks[v] for u, v in g.edges)
+    shared, within = _clique_overlaps(g, cliques)
+    return bool(
+        not np.triu(shared, k=1).any()
+        and within.diagonal()[1:].all()
+        and not (g.adjacency & ~within).any()
+    )
 
 
 def _chain_overlap(g: Graph, cliques: CliqueSet) -> int | None:
     """Shared-vertex count r if the cliques form a chain with overlaps only
     between consecutive cliques and no cross edges; None otherwise."""
-    n = cliques.count
-    if n < 2:
+    if cliques.count < 2:
         return None
-    sets = [set(c) for c in cliques.cliques]
-    r = len(sets[0] & sets[1])
-    if r == 0:
+    shared, within = _clique_overlaps(g, cliques)
+    r = int(shared[0, 1])
+    if r == 0 or (shared.diagonal(1) != r).any() or np.triu(shared, k=2).any():
         return None
-    for i in range(n - 1):
-        if len(sets[i] & sets[i + 1]) != r:
-            return None
-    for i, j in itertools.combinations(range(n), 2):
-        if j > i + 1 and sets[i] & sets[j]:
-            return None
-    within = set()
-    for c in cliques.cliques:
-        within.update(itertools.combinations(sorted(c), 2))
-    if set(g.edges) != within:
+    if not np.array_equal(g.adjacency, within & ~np.eye(g.order + 1, dtype=bool)):
         return None
-    covered = set().union(*sets)
-    return r if covered == set(g.vertices) else None
+    return r if within.diagonal()[1:].all() else None
 
 
 def _pad(vec: np.ndarray, d: int) -> np.ndarray:

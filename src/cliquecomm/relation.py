@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InconsistentRelationError, InvalidParamsError
-from .graphs import SCHEMA_VERSION, CliqueSet, Graph
+from .graphs import SCHEMA_VERSION, CliqueSet, Graph, clique_membership
 
 
 def label_to_colouring(clique: tuple[int, ...], a: int) -> dict[int, int]:
@@ -214,16 +214,11 @@ def build_relation(g: Graph, cliques: CliqueSet) -> Relation:
     """
     n, omega = cliques.count, cliques.omega
     selected = selected_vertices(cliques)
-    member = np.zeros((n, g.order + 1), dtype=bool)
-    member[np.arange(n)[:, None], selected.reshape(n, omega)] = True
-    adjacency = np.zeros((g.order + 1, g.order + 1), dtype=bool)
-    if g.edges:
-        u, v = np.array(sorted(g.edges)).T
-        adjacency[u, v] = adjacency[v, u] = True
     # in_clique[s, t]: the vertex slot t selects lies in slot s's clique
+    member = clique_membership(cliques, g.order)
     in_clique = member[np.repeat(np.arange(n), omega)][:, selected]
     mask = (selected[:, None] == selected[None, :]) | ~(
-        in_clique | in_clique.T | adjacency[np.ix_(selected, selected)]
+        in_clique | in_clique.T | g.adjacency[np.ix_(selected, selected)]
     )
     rel = Relation.from_mask(n, omega, mask)
     empty = np.argwhere(rel.output_counts() == 0)

@@ -1,9 +1,12 @@
 """Per-tuple loop versions of the array kernels, kept as test oracles.
 
 Each function restates one kernel the library computes over the relation
-mask or an integer numerator matrix, the slow way: one tuple, entry or
-slot pair at a time, through public accessors only (`rel.tuples`,
-`table.prob`, `labels_consistent`).  The property tests compare the two.
+mask, an integer numerator matrix, or a graph's adjacency and clique
+membership matrices, the slow way: one tuple, entry, slot pair or vertex
+pair at a time, through public accessors only (`rel.tuples`,
+`table.prob`, `labels_consistent`, `g.adjacent`, `g.neighbors`,
+`cliques.cliques_containing`, `rep.overlap_sq`).  The property tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from cliquecomm import (
     Relation,
     labels_consistent,
 )
+from cliquecomm.quantum import ORTHO_TOL
 from cliquecomm.simulate import ReconstructionResult
 from cliquecomm.tables import ZERO_TOL
 
@@ -326,3 +330,95 @@ def reconstruct(rounds, n, omega, truth=None):
         except (InconsistentRelationError, InvalidParamsError):
             graph = None
     return ReconstructionResult(observed, covered, success, graph, classes)
+
+
+# ---------------------------------------------------------------------------
+# Graph layer: vertex-pair loops over neighbour and clique sets
+# ---------------------------------------------------------------------------
+
+def complement(g):
+    edges = [
+        (u, v)
+        for u in g.vertices
+        for v in range(u + 1, g.order + 1)
+        if not g.adjacent(u, v)
+    ]
+    return Graph(g.order, edges)
+
+
+def covers_all_vertices(g, cliques):
+    covered = set()
+    for c in cliques.cliques:
+        covered.update(c)
+    return covered == set(g.vertices)
+
+
+def pairs_distinguishable(g, cliques):
+    membership = {v: set(cliques.cliques_containing(v)) for v in g.vertices}
+    for v, w in itertools.combinations(g.vertices, 2):
+        in_distinct = any(i != j for i in membership[v] for j in membership[w])
+        if not in_distinct:
+            continue
+        if g.neighbors(v) == g.neighbors(w):
+            return False
+    return True
+
+
+def partitioned(g, cliques):
+    seen = set()
+    for c in cliques.cliques:
+        if seen & set(c):
+            return False
+        seen.update(c)
+    if seen != set(g.vertices):
+        return False
+    blocks = {v: i for i, c in enumerate(cliques.cliques) for v in c}
+    return all(blocks[u] == blocks[v] for u, v in g.edges)
+
+
+def chain_overlap(g, cliques):
+    n = cliques.count
+    if n < 2:
+        return None
+    sets = [set(c) for c in cliques.cliques]
+    r = len(sets[0] & sets[1])
+    if r == 0:
+        return None
+    for i in range(n - 1):
+        if len(sets[i] & sets[i + 1]) != r:
+            return None
+    for i, j in itertools.combinations(range(n), 2):
+        if j > i + 1 and sets[i] & sets[j]:
+            return None
+    within = set()
+    for c in cliques.cliques:
+        within.update(itertools.combinations(sorted(c), 2))
+    if set(g.edges) != within:
+        return None
+    covered = set().union(*sets)
+    return r if covered == set(g.vertices) else None
+
+
+def verify_representation(rep, g, tol=ORTHO_TOL):
+    """(ok, violations), one vdot per vertex pair in row-major order."""
+    violations = []
+    for v in g.vertices:
+        if v not in rep.vectors:
+            violations.append(("missing", v, None, None))
+            continue
+        norm = float(np.linalg.norm(rep.vectors[v]))
+        if abs(norm - 1) > tol:
+            violations.append(("norm", v, None, norm))
+    if violations:
+        return False, tuple(violations)
+    for u, v in itertools.combinations(g.vertices, 2):
+        ov = rep.overlap_sq(u, v)
+        if g.adjacent(u, v):
+            if ov > tol:
+                violations.append(("edge_not_orthogonal", u, v, ov))
+        else:
+            if ov <= tol:
+                violations.append(("nonedge_orthogonal", u, v, ov))
+            elif abs(ov - 1) <= tol:
+                violations.append(("duplicate_vector", u, v, ov))
+    return not violations, tuple(violations)

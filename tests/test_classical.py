@@ -135,6 +135,19 @@ def test_sccr_requires_coverage():
         sccr_protocol(g, cliques, rel)
 
 
+def test_sccr_skips_the_connectivity_search(monkeypatch):
+    # sccr reads only G0 and G1; p13 is small enough that the default cap
+    # of check_conditions would run the search
+    from cliquecomm import graphs
+
+    def fail(g):
+        raise AssertionError("complement connectivity computed")
+
+    monkeypatch.setattr(graphs, "_complement_connectivity", fail)
+    g, cliques, rel = setup_graph(gen_paley(13))
+    assert sccr_protocol(g, cliques, rel).m == 13
+
+
 def test_lower_bound_chain5(chain5):
     g, cliques, rel = chain5
     assert verify_classical_lower_bound(g, cliques, rel, 4)

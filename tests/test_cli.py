@@ -34,6 +34,15 @@ def test_graph_gen_paley_and_check(tmp_path, capsys):
     assert report["G0"] and report["G1"] and report["G2"] == 7
 
 
+def test_graph_check_reports_g2_past_the_library_cap(tmp_path, capsys):
+    # check_conditions leaves G2 out past 16 vertices by default; the
+    # command always reports it
+    out = tmp_path / "p17.json"
+    run_cli(capsys, "graph", "gen", "--family", "paley", "--q", "17", "--out", str(out))
+    code, text = run_cli(capsys, "graph", "check", "--in", str(out))
+    assert code == 0 and json.loads(text)["G2"] == 9
+
+
 def chain5_file(tmp_path, capsys):
     out = tmp_path / "chain5.json"
     code, _ = run_cli(capsys, "graph", "gen", "--family", "nncc",
@@ -69,14 +78,11 @@ def test_complexity_commands(tmp_path, capsys):
 
 
 def test_quantum_paley_command(capsys):
-    code, text = run_cli(capsys, "quantum", "paley", "--q", "13")
+    code, text = run_cli(capsys, "paley", "analyze", "--q", "13")
     assert code == 0
     data = json.loads(text)
     assert data["rank"] == 7
     assert data["payoff"] == pytest.approx((2 / (math.sqrt(13) + 1)) ** 2)
-    code, text2 = run_cli(capsys, "paley", "analyze", "--q", "13")
-    assert code == 0
-    assert json.loads(text2)["rank"] == 7
 
 
 def test_quantum_rsp_command(capsys):
@@ -102,6 +108,44 @@ def test_quantum_mub_command(tmp_path, capsys):
     assert code == 0 and json.loads(text)["mub"] is True
 
 
+def test_quantum_mub_tol_flag_takes_effect(tmp_path, capsys):
+    # Z and a basis tilted 0.01 rad off X: cross overlaps miss 1/2 by about 0.01
+    t = math.pi / 4 + 0.01
+    tilted = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    payload = {
+        "d": 2,
+        "bases": [
+            [[[v, 0.0] for v in basis[:, i]] for i in range(2)]
+            for basis in (np.eye(2), tilted)
+        ],
+    }
+    path = tmp_path / "bases.json"
+    path.write_text(json.dumps(payload))
+    code, text = run_cli(capsys, "quantum", "mub", "--in", str(path))
+    assert code == 0 and json.loads(text)["mub"] is False
+    code, text = run_cli(capsys, "quantum", "mub", "--in", str(path), "--tol", "0.05")
+    assert code == 0 and json.loads(text)["mub"] is True
+
+
+def test_complexity_cap_flag_takes_effect(tmp_path, capsys):
+    gpath = chain5_file(tmp_path, capsys)
+    code, _ = run_cli(capsys, "complexity", "lowerbound", "--in", gpath, "--m", "4")
+    assert code == 0
+    code, _ = run_cli(capsys, "complexity", "lowerbound", "--in", gpath, "--m", "4",
+                      "--cap", "2")
+    assert code == 4
+
+
+def test_moved_flags_are_not_global(capsys):
+    for flag in ("--tol", "--cap"):
+        with pytest.raises(SystemExit) as info:
+            main([flag, "1", "paley", "analyze", "--q", "5"])
+        assert info.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["quantum", "paley", "--q", "5"])
+    capsys.readouterr()
+
+
 def test_quantum_table_command(tmp_path, capsys):
     gpath = chain5_file(tmp_path, capsys)
     code, text = run_cli(capsys, "quantum", "table", "--in", gpath)
@@ -125,8 +169,8 @@ def test_simulate_run_and_success(tmp_path, capsys):
 
 
 def test_byte_identical_reruns(capsys):
-    _, a = run_cli(capsys, "quantum", "paley", "--q", "17")
-    _, b = run_cli(capsys, "quantum", "paley", "--q", "17")
+    _, a = run_cli(capsys, "paley", "analyze", "--q", "17")
+    _, b = run_cli(capsys, "paley", "analyze", "--q", "17")
     assert a == b
 
 
