@@ -213,27 +213,28 @@ def cmd_quantum(args) -> None:
     g = Graph.from_json(_load_json(args.infile))
     cliques = enumerate_maximum_cliques(g)
     rel = build_relation(g, cliques)
-    d = args.d if args.d else cliques.omega
     if args.action == "table":
-        rep = build_representation(g, cliques, d, seed=args.seed)
+        rep = build_representation(g, cliques, args.d or None, seed=args.seed)
         strategy = QuantumStrategy.create(rep, g, cliques)
         table = quantum_table(strategy, rel)
         report = table_payoff(table, rel)
         payload = {
-            "dimension": d,
+            "dimension": rep.d,
             "payoff": float(report.value),
             "table": table.to_json(),
             "representation": rep.to_json(),
         }
     else:  # optimize
-        result = optimize_payoff(g, cliques, d, restarts=args.restarts, seed=args.seed)
+        result = optimize_payoff(g, cliques, args.d or None, restarts=args.restarts,
+                                 seed=args.seed)
+        rep = result.rep
         payload = {
-            "dimension": d,
+            "dimension": rep.d,
             "payoff": result.payoff,
             "lower_bound_only": result.is_lower_bound,
-            "representation_payoff": representation_payoff(result.rep, g),
+            "representation_payoff": representation_payoff(rep, g),
         }
-    _emit(args, payload, {"in": args.infile, "d": d})
+    _emit(args, payload, {"in": args.infile, "d": rep.d})
 
 
 def cmd_simulate(args) -> None:

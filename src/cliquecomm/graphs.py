@@ -255,7 +255,6 @@ def clique_membership(cliques: CliqueSet, order: int) -> np.ndarray:
 
 
 def complement(g: Graph) -> Graph:
-    # row-major (u, v) insertion: a frozenset's iteration order depends on it
     upper = np.triu(~g.adjacency[1:, 1:], k=1)
     return Graph(g.order, (np.argwhere(upper) + 1).tolist())
 

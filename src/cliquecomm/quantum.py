@@ -7,6 +7,13 @@ the Born rule fills the conditional-probability table with squared overlaps.
 The payoff of the representation itself is the smallest squared overlap
 over non-adjacent vertex pairs, and maximizing it over representations of a
 fixed dimension is the quantum figure of merit for reconstruction.
+
+Disjoint cliques and chains of cliques have closed-form representations;
+the rest, and every payoff maximization, run one gradient ascent of a soft
+minimum of the non-edge overlaps |V V^H|^2 under an edge penalty or, for
+disjoint cliques, a QR retraction of each clique's frame (Absil-Mahony-
+Sepulchre, 2008).  The default dimension is omega where a closed form
+exists and the general-position dimension (Lovasz-Saks-Schrijver) elsewhere.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as sciopt
 
 from .errors import (
     ConditionsNotMetError,
@@ -24,7 +30,7 @@ from .errors import (
     InvalidParamsError,
     UnverifiedRepresentationError,
 )
-from .graphs import SCHEMA_VERSION, CliqueSet, Graph, clique_membership
+from .graphs import SCHEMA_VERSION, CliqueSet, Graph, _complement_connectivity, clique_membership
 from .relation import Relation, selected_vertices
 from .tables import ProbTable, check_consistency
 from .tables import payoff as table_payoff
@@ -109,12 +115,11 @@ def verify_representation(
 
 def representation_payoff(rep: OrthogonalRepresentation, g: Graph) -> float:
     """Smallest squared overlap over non-adjacent distinct vertex pairs."""
-    values = [
-        rep.overlap_sq(u, v)
-        for u, v in itertools.combinations(g.vertices, 2)
-        if not g.adjacent(u, v)
-    ]
-    return min(values) if values else 1.0
+    nonedge = np.triu(~g.adjacency[1:, 1:], k=1)
+    if not nonedge.any():
+        return 1.0
+    vecs = np.array([rep.vectors[v] for v in g.vertices])
+    return float((np.abs(vecs @ vecs.conj().T) ** 2)[nonedge].min())
 
 
 # ---------------------------------------------------------------------------
@@ -216,55 +221,115 @@ def _build_chain(g: Graph, cliques: CliqueSet, d: int, attempt: int,
     return OrthogonalRepresentation(d, {v: _pad(vec, d) for v, vec in vectors.items()})
 
 
-def _build_by_optimization(g: Graph, cliques: CliqueSet, d: int, seed: int,
-                           attempts: int = 16) -> OrthogonalRepresentation:
-    """Penalty descent on raw vectors followed by local re-orthogonalization."""
-    verts = list(g.vertices)
-    vn = len(verts)
-    pairs_e = [(verts.index(u), verts.index(v)) for u, v in g.edges]
-    pairs_n = [
-        (i, j)
-        for i, j in itertools.combinations(range(vn), 2)
-        if not g.adjacent(verts[i], verts[j])
-    ]
+# (beta, mu) stages of the ascent: the soft minimum hardens towards the exact
+# minimum while the edge penalty stiffens towards orthogonality
+SCHEDULE = ((20.0, 0.5), (200.0, 5.0), (2000.0, 50.0), (20000.0, 500.0), (20000.0, 50000.0))
+STEPS = 150
+ATTEMPTS = 16
 
-    def unpack(x):
-        m = x.reshape(vn, d, 2)
-        vecs = m[..., 0] + 1j * m[..., 1]
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        return vecs / norms
 
-    def loss(x):
-        vecs = unpack(x)
-        gram = vecs @ vecs.conj().T
-        p = np.abs(gram) ** 2
-        edge = sum(p[i, j] for i, j in pairs_e)
-        margin = sum(max(0.0, 0.02 - p[i, j]) for i, j in pairs_n)
-        return edge + margin
+def _objective(vecs, nonedge, adj, beta, mu):
+    """Soft minimum of the non-edge overlaps p and of 1 - p (so that no two
+    vertices merge), minus mu times the edge overlaps, and its gradient
+    (W o V V^H) V for W = df/dp, projected onto each row's unit sphere."""
+    gram = vecs @ vecs.conj().swapaxes(1, 2)
+    overlap = np.abs(gram) ** 2
+    near = np.where(nonedge, overlap, np.inf)
+    far = np.where(nonedge, 1 - overlap, np.inf)
+    lo = np.minimum(near, far).min(axis=(1, 2))[:, None, None]
+    near, far = np.exp(-beta * (near - lo)), np.exp(-beta * (far - lo))
+    total = (near + far).sum(axis=(1, 2)) / 2
+    weights = (near - far) / total[:, None, None] - mu * adj
+    value = lo[:, 0, 0] - np.log(total) / beta - mu * (adj * overlap).sum(axis=(1, 2)) / 2
+    grad = 2 * (weights * gram) @ vecs
+    grad -= np.sum(vecs.conj() * grad, axis=2, keepdims=True).real * vecs
+    return value, grad
 
-    for attempt in range(attempts):
-        rng = np.random.default_rng((seed, attempt))
-        x0 = rng.standard_normal(vn * d * 2)
-        res = sciopt.minimize(loss, x0, method="L-BFGS-B",
-                              options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
-        vecs = unpack(res.x)
-        # Gauss-Seidel polish: project out neighbour components until edges
-        # are orthogonal to machine precision
-        for _ in range(200):
-            worst = 0.0
-            for i, j in pairs_e:
-                ov = np.vdot(vecs[i], vecs[j])
-                worst = max(worst, abs(ov))
-                vecs[j] = vecs[j] - ov * vecs[i]
-                vecs[j] /= np.linalg.norm(vecs[j])
-            if worst < 1e-14:
-                break
-        rep = OrthogonalRepresentation(
-            d, {verts[i]: vecs[i] for i in range(vn)}
-        )
-        if verify_representation(rep, g).ok:
+
+def _ascend(vecs: np.ndarray, g: Graph, blocks: np.ndarray | None) -> np.ndarray:
+    """Gradient ascent of _objective on a batch of row-vector matrices.
+
+    A step is retracted by renormalizing rows or, given the vertex indices
+    of a partition into cliques, by one batched QR of every clique's block,
+    which keeps edges exact without the penalty.  Each step length grows
+    after an improving step and halves after a failing one, which is undone.
+    """
+    nonedge = ~g.adjacency[1:, 1:] & ~np.eye(g.order, dtype=bool)
+    adj = g.adjacency[1:, 1:].astype(float)
+
+    def retract(x):
+        if blocks is None:
+            return x / np.linalg.norm(x, axis=2, keepdims=True)
+        out = np.empty_like(x)
+        out[:, blocks] = np.linalg.qr(x[:, blocks].swapaxes(2, 3))[0].swapaxes(2, 3)
+        return out
+
+    vecs = retract(vecs)
+    for beta, mu in SCHEDULE:
+        mu = 0.0 if blocks is not None else mu
+        value, grad = _objective(vecs, nonedge, adj, beta, mu)
+        step = np.full(len(vecs), 1.0 / beta)
+        for _ in range(STEPS):
+            trial = retract(vecs + step[:, None, None] * grad)
+            tvalue, tgrad = _objective(trial, nonedge, adj, beta, mu)
+            up = tvalue >= value
+            vecs = np.where(up[:, None, None], trial, vecs)
+            grad = np.where(up[:, None, None], tgrad, grad)
+            value = np.where(up, tvalue, value)
+            step = np.where(up, 1.5 * step, 0.5 * step)
+    return vecs
+
+
+def _certify(vecs: np.ndarray, g: Graph, d: int) -> list:
+    """Gauss-Seidel polish of a batch's edges, then verification: a certified
+    representation or None per batch entry."""
+    vecs = vecs.copy()
+    edges = np.argwhere(np.triu(g.adjacency[1:, 1:], k=1)).tolist()
+    active = np.ones(len(vecs), dtype=bool)
+    # project out neighbour components until edges are orthogonal to machine
+    # precision; a finished entry is left as it is
+    for _ in range(200):
+        worst = np.zeros(len(vecs))
+        for i, j in edges:
+            ov = np.sum(vecs[:, i].conj() * vecs[:, j], axis=1)
+            worst = np.maximum(worst, np.abs(ov))
+            new = vecs[:, j] - ov[:, None] * vecs[:, i]
+            new /= np.linalg.norm(new, axis=1, keepdims=True)
+            vecs[:, j] = np.where(active[:, None], new, vecs[:, j])
+        active &= worst >= 1e-14
+        if not active.any():
+            break
+    reps = [OrthogonalRepresentation(d, dict(zip(g.vertices, x))) for x in vecs]
+    return [rep if verify_representation(rep, g).ok else None for rep in reps]
+
+
+def _random_starts(seed: int, count: int, order: int, d: int) -> list:
+    rngs = [np.random.default_rng((seed, r)) for r in range(count)]
+    return [rng.standard_normal((order, d)) + 1j * rng.standard_normal((order, d))
+            for rng in rngs]
+
+
+def _build_by_ascent(g: Graph, d: int, seed: int) -> OrthogonalRepresentation:
+    """The first of ATTEMPTS random starts, ascended as one batch, that certifies."""
+    starts = np.array(_random_starts(seed, ATTEMPTS, g.order, d))
+    for rep in _certify(_ascend(starts, g, None), g, d):
+        if rep is not None:
             return rep
-    raise ConstructionFailedError("optimization fallback found no certified representation")
+    raise ConstructionFailedError("numeric search found no certified representation")
+
+
+def _dimension(g: Graph, cliques: CliqueSet, d: int | None) -> int:
+    """d, or by default omega where a closed form exists and otherwise the
+    general-position dimension order minus the complement's connectivity
+    (Lovasz-Saks-Schrijver), which is never below omega."""
+    if d is None:
+        if _partitioned(g, cliques) or _chain_overlap(g, cliques) is not None:
+            d = cliques.omega
+        else:
+            d = g.order - _complement_connectivity(g)
+    if d < cliques.omega:
+        raise InvalidParamsError(f"dimension {d} below clique size {cliques.omega}")
+    return d
 
 
 def build_representation(
@@ -274,20 +339,19 @@ def build_representation(
 
     Disjoint cliques get one generic rotated basis per clique; chains of
     overlapping cliques reuse the shared vectors and complete each clique
-    inside the orthogonal complement; anything else goes through a numeric
-    search.  Every path re-verifies the result and retries with fresh
-    generic choices before giving up.
+    inside the orthogonal complement; anything else goes through the
+    ascent of optimize_payoff from random starts, returning the first that
+    certifies.  Every path re-verifies the result and retries with fresh
+    generic choices before giving up.  d defaults to omega for the two
+    closed forms and to the general-position dimension otherwise.
     """
-    omega = cliques.omega
-    d = omega if d is None else d
-    if d < omega:
-        raise InvalidParamsError(f"dimension {d} below clique size {omega}")
+    d = _dimension(g, cliques, d)
     if _partitioned(g, cliques):
         builder = _build_disconnected
     elif _chain_overlap(g, cliques) is not None:
         builder = _build_chain
     else:
-        return _build_by_optimization(g, cliques, d, seed)
+        return _build_by_ascent(g, d, seed)
     for attempt in range(8):
         rng = np.random.default_rng((seed, attempt))
         rep = builder(g, cliques, d, attempt, rng)
@@ -367,112 +431,44 @@ class OptimizeResult:
     is_lower_bound: bool = True
 
 
-def _bases_from_params(x: np.ndarray, n: int, d: int, omega: int) -> np.ndarray:
-    m = x.reshape(n, d, omega, 2)
-    q, _ = np.linalg.qr(m[..., 0] + 1j * m[..., 1])
-    return q
-
-
-def _cross_overlaps(bases: np.ndarray) -> np.ndarray:
-    n = bases.shape[0]
-    vals = []
-    for k, l in itertools.combinations(range(n), 2):
-        g = bases[k].conj().T @ bases[l]
-        vals.append((np.abs(g) ** 2).ravel())
-    return np.concatenate(vals)
-
-
 def optimize_payoff(
     g: Graph,
     cliques: CliqueSet,
-    d: int,
+    d: int | None = None,
     restarts: int = 32,
     seed: int = 0,
     initial_reps: tuple = (),
 ) -> OptimizeResult:
     """Maximize the smallest non-adjacent squared overlap in dimension d.
 
-    For vertex-disjoint cliques the variables are one orthonormal frame per
-    clique; restarts run a smoothed max-min ascent (soft minimum with a
-    hardening temperature schedule) and the best is polished by maximizing
-    the epigraph variable under the overlap constraints.  The result is a
-    certified representation and a lower bound on the true optimum.  Graphs
-    with shared vertices fall back to the best verified starting point
-    (constructed or supplied), so the bound is still sound.
+    The supplied representations (or else a closed-form one) and
+    `restarts` random starts run the ascent, with one orthonormal frame per
+    clique for vertex-disjoint cliques and an edge penalty otherwise.  The
+    best certified end point or unmoved start is returned with its payoff:
+    a lower bound on the optimum, never below a start.  d defaults as in
+    build_representation.
     """
-    if d < cliques.omega:
-        raise InvalidParamsError("dimension below clique size")
-    if cliques.count == 1:
+    d = _dimension(g, cliques, d)
+    if 2 * len(g.edges) == g.order * (g.order - 1):
+        # a complete graph has no non-adjacent pair to pay off
         rep = build_representation(g, cliques, d, seed=seed)
         return OptimizeResult(rep, 1.0, 0)
-    if not _partitioned(g, cliques):
-        return _optimize_general(g, cliques, d, seed, initial_reps)
-    n, omega = cliques.count, cliques.omega
-
-    def exact_min(x):
-        return float(np.min(_cross_overlaps(_bases_from_params(x, n, d, omega))))
-
-    def neg_softmin(x, beta):
-        vals = _cross_overlaps(_bases_from_params(x, n, d, omega))
-        lo = vals.min()
-        return -(lo - np.log(np.sum(np.exp(-beta * (vals - lo)))) / beta)
-
-    size = n * d * omega * 2
-    candidates = []
-    for r in range(restarts):
-        rng = np.random.default_rng((seed, r))
-        x = rng.standard_normal(size)
-        for beta in (50.0, 400.0, 3000.0):
-            res = sciopt.minimize(neg_softmin, x, args=(beta,), method="L-BFGS-B",
-                                  options={"maxiter": 500})
-            x = res.x
-        candidates.append((exact_min(x), r, x))
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-
-    def polish(x):
-        z0 = np.concatenate([x, [exact_min(x)]])
-        cons = {
-            "type": "ineq",
-            "fun": lambda z: _cross_overlaps(
-                _bases_from_params(z[:-1], n, d, omega)) - z[-1],
-        }
-        res = sciopt.minimize(lambda z: -z[-1], z0, method="SLSQP",
-                              constraints=[cons],
-                              options={"maxiter": 300, "ftol": 1e-12})
-        return res.x[:-1]
-
-    for value, ridx, x in candidates:
-        xp = polish(x)
-        if exact_min(xp) >= value - 1e-12:
-            x = xp
-        bases = _bases_from_params(x, n, d, omega)
-        vectors = {}
-        for k, c in enumerate(cliques.cliques):
-            for pos, v in enumerate(c):
-                vectors[v] = bases[k][:, pos].copy()
-        rep = OrthogonalRepresentation(d, vectors)
-        if verify_representation(rep, g).ok:
-            return OptimizeResult(rep, representation_payoff(rep, g), restarts)
-    raise ConstructionFailedError("no restart produced a certified representation")
-
-
-def _optimize_general(g, cliques, d, seed, initial_reps) -> OptimizeResult:
+    partitioned = _partitioned(g, cliques)
     starts = list(initial_reps)
-    if not starts:
-        try:
-            starts.append(build_representation(g, cliques, d, seed=seed))
-        except ConstructionFailedError:
-            pass
-    best = None
-    for rep in starts:
-        if rep.d != d or not verify_representation(rep, g).ok:
-            continue
-        value = representation_payoff(rep, g)
-        if best is None or value > best[0]:
-            best = (value, rep)
-    if best is None:
-        raise ConstructionFailedError("no faithful starting representation found")
-    return OptimizeResult(best[1], best[0], len(starts))
+    if not starts and (partitioned or _chain_overlap(g, cliques) is not None):
+        # elsewhere the constructed start is one of the random starts below
+        starts.append(build_representation(g, cliques, d, seed=seed))
+    starts = [rep for rep in starts if rep.d == d and verify_representation(rep, g).ok]
+    vecs = [np.array([rep.vectors[v] for v in g.vertices]) for rep in starts]
+    vecs += _random_starts(seed, restarts, g.order, d)
+    blocks = np.asarray(cliques.cliques) - 1 if partitioned else None
+    ends = _certify(_ascend(np.array(vecs), g, blocks), g, d) if vecs else []
+    candidates = starts + [rep for rep in ends if rep is not None]
+    if not candidates:
+        raise ConstructionFailedError("no restart produced a certified representation")
+    values = [representation_payoff(rep, g) for rep in candidates]
+    best = int(np.argmax(values))
+    return OptimizeResult(candidates[best], values[best], restarts)
 
 
 # ---------------------------------------------------------------------------

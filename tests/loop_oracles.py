@@ -422,3 +422,13 @@ def verify_representation(rep, g, tol=ORTHO_TOL):
             elif abs(ov - 1) <= tol:
                 violations.append(("duplicate_vector", u, v, ov))
     return not violations, tuple(violations)
+
+
+def representation_payoff(rep, g):
+    """Smallest squared overlap, one vdot per non-adjacent vertex pair."""
+    values = [
+        rep.overlap_sq(u, v)
+        for u, v in itertools.combinations(g.vertices, 2)
+        if not g.adjacent(u, v)
+    ]
+    return min(values) if values else 1.0

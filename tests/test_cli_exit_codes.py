@@ -73,7 +73,8 @@ def test_empty_graph_exits_7(tmp_path, capsys):
 
 def test_failed_construction_exits_8(tmp_path, capsys):
     # in dimension 2 opposite corners of the 4-cycle would need equal vectors
-    code, err = run(capsys, "quantum", "table", "--in", write(tmp_path, "c4.json", C4))
+    code, err = run(capsys, "quantum", "table", "--in", write(tmp_path, "c4.json", C4),
+                    "--d", "2")
     assert code == 8 and err.startswith("construction failed:")
 
 

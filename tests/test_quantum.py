@@ -127,10 +127,10 @@ def test_build_representation_shares_vertex_vector(chain5):
 
 
 def test_build_representation_fallback_path():
-    from cliquecomm.quantum import _build_by_optimization
+    from cliquecomm.quantum import _build_by_ascent
 
     g, cliques, _ = setup_graph(gen_disconnected(2, 2))
-    rep = _build_by_optimization(g, cliques, 2, seed=5)
+    rep = _build_by_ascent(g, 2, seed=5)
     assert verify_representation(rep, g).ok
 
 
