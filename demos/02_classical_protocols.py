@@ -5,8 +5,8 @@ Computing any valid answer needs only one message per label class, so
 log2(omega) bits suffice.  Covering every valid answer over many rounds
 (so an outside observer can reconstruct the relation) is harder: with a
 deterministic encoder the message count must reach the graph order, and
-the exhaustive oracle below certifies that one fewer message is never
-enough.
+counting the distinct admissible-output rows below certifies that one
+fewer message is never enough.
 """
 
 from cliquecomm import (

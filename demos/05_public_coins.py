@@ -48,7 +48,7 @@ for r in rows:
 print("strength-2 orthogonal array:", is_orthogonal_array(rows))
 
 print("\nminimum rows of a strength-2 binary array, by column count:")
-for k in (1, 2, 3, 4, 5):
+for k in (1, 2, 3, 4, 5, 8, 11, 12, 47):
     print(f"  k={k}: {min_oa_rows(k)} rows")
 
 print("\n=== one e-bit instead of a growing coin ===")

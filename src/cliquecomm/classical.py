@@ -2,13 +2,14 @@
 
 Three layers live here.  First, deterministic strategies with the minimum
 message count (one message per label class): every such strategy is a choice
-of one bijection per clique between messages and labels, and a backtracking
+of one bijection per clique between messages and labels, and a depth-first
 search over those bijections yields the canonical protocol and the full
 enumeration.  Second, the reconstruction protocol that encodes the selected
-vertex itself and decodes uniformly over admissible outputs, plus the
-exhaustive oracle showing fewer messages cannot reconstruct.  Third,
-public-coin mixtures of deterministic strategies, whose optimality question
-reduces to finding small binary orthogonal arrays of strength two.
+vertex itself and decodes uniformly over admissible outputs, plus the lower
+bound showing fewer messages cannot reconstruct: one message per distinct
+admissible-output row.  Third, public-coin mixtures of deterministic
+strategies, whose optimality question on disjoint edges is a binary
+orthogonal array of strength two, constructed here from Hadamard matrices.
 """
 
 from __future__ import annotations
@@ -23,12 +24,19 @@ import numpy as np
 from .errors import (
     CapExceededError,
     ConditionsNotMetError,
+    ConstructionFailedError,
     InvalidParamsError,
     SearchExhaustedError,
 )
-from .graphs import SCHEMA_VERSION, CliqueSet, Graph, check_conditions
+from .graphs import SCHEMA_VERSION, CliqueSet, Graph, check_conditions, is_prime
+from .paley import character_matrix
 from .relation import Relation, selected_vertex, slot_index
-from .tables import ProbTable, mix_tables
+from .tables import ProbTable, check_coverage, mix_tables
+
+STRATEGY_CAP = 4096  # strategies enumerate_consistent_strategies returns at most
+MIXTURE_ROW_CAP = 8  # strategies in the largest mixture searched for optimality
+MIXTURE_COMBINATION_CAP = 2_000_000  # multisets tried per mixture size
+ENCODING_COMBINATION_CAP = 5_000_000  # message-set families tried per m
 
 
 @dataclass(frozen=True)
@@ -108,41 +116,60 @@ def _strategy_from_assignment(assignment: tuple[tuple[int, ...], ...]) -> Classi
     return ClassicalStrategy(omega, encoder, decoder)
 
 
-def _assignment_search(rel: Relation, find_all: bool, limit: int | None = None):
-    """Backtrack over per-clique label bijections keeping all paired tuples admissible.
+def _fits(mask: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Which candidate bijections keep every paired tuple admissible.
+
+    rows[j, i] is the slot message i takes in an already placed clique j,
+    cols[p, i] the slot it would take under candidate p; one gather of the
+    mask answers all candidates at once.
+    """
+    return mask[rows[:, None, :], cols[None, :, :]].all(axis=(0, 2))
+
+
+def _assignments(rel: Relation):
+    """Per-clique label bijections keeping all paired tuples admissible, in order.
 
     The first clique keeps the identity bijection (message relabelling is a
     symmetry, so this loses nothing and makes the enumeration duplicate-free);
-    later cliques try permutations in lexicographic order, so the first
-    solution found is the lexicographically least assignment.
+    later cliques take permutations in lexicographic order, so the
+    assignments come out in lexicographic order.  Depth-first with an
+    explicit stack, so the clique count is not bounded by recursion depth.
     """
     n, omega = rel.n, rel.omega
-    identity = tuple(range(omega))
-    perms = list(itertools.permutations(range(omega)))
-    solutions = []
+    perm_tuples = list(itertools.permutations(range(omega)))
+    perms = np.array(perm_tuples, dtype=np.intp)
+    rows = np.empty((n, omega), dtype=np.intp)  # slot of each message, per placed clique
+    rows[0] = np.arange(omega)
+    chosen = [0]
 
-    def compatible(assign, k, perm):
-        for j, pj in enumerate(assign):
-            for i in range(omega):
-                if (j + 1, pj[i], k + 1, perm[i]) not in rel:
-                    return False
-        return True
+    def candidates(k):
+        return iter(np.flatnonzero(_fits(rel.mask, rows[:k], k * omega + perms)).tolist())
 
-    def place(assign):
-        k = len(assign)
-        if k == n:
-            solutions.append(tuple(assign))
-            return not find_all
-        for perm in perms:
-            if compatible(assign, k, perm):
-                if place(assign + [perm]):
-                    return True
-                if limit is not None and len(solutions) >= limit:
-                    return True
-        return False
+    if n == 1:
+        yield (perm_tuples[0],)
+        return
+    stack = [candidates(1)]  # one candidate iterator per clique past the first
+    while stack:
+        k = len(stack)
+        p = next(stack[-1], None)
+        if p is None:
+            stack.pop()
+            continue
+        chosen[k:] = [p]
+        rows[k] = k * omega + perms[p]
+        if k + 1 == n:
+            yield tuple(perm_tuples[i] for i in chosen)
+        else:
+            stack.append(candidates(k + 1))
 
-    place([identity])
-    return solutions
+
+def _first_assignment(rel: Relation) -> tuple[tuple[int, ...], ...]:
+    first = next(_assignments(rel), None)
+    if first is None:
+        raise SearchExhaustedError(
+            "no omega-message consistent strategy exists for this instance"
+        )
+    return first
 
 
 def ccr_protocol(g: Graph, cliques: CliqueSet, rel: Relation) -> ClassicalStrategy:
@@ -153,12 +180,7 @@ def ccr_protocol(g: Graph, cliques: CliqueSet, rel: Relation) -> ClassicalStrate
     per-clique bijections is complete.  Ties break by lexicographic order of
     the bijections, first solution returned.
     """
-    solutions = _assignment_search(rel, find_all=False)
-    if not solutions:
-        raise SearchExhaustedError(
-            "no omega-message consistent strategy exists for this instance"
-        )
-    return _strategy_from_assignment(solutions[0])
+    return _strategy_from_assignment(_first_assignment(rel))
 
 
 def strategy_partition(strategy: ClassicalStrategy) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -202,16 +224,16 @@ def sccr_protocol(g: Graph, cliques: CliqueSet, rel: Relation) -> ClassicalStrat
 
 
 def enumerate_consistent_strategies(
-    g: Graph, cliques: CliqueSet, rel: Relation, limit: int = 4096
+    g: Graph, cliques: CliqueSet, rel: Relation
 ) -> list[ClassicalStrategy]:
     """All omega-message deterministic strategies whose tables stay on the relation.
 
     Distinct assignments give distinct tables (the first clique's bijection is
     pinned), so no further deduplication is needed.
     """
-    solutions = _assignment_search(rel, find_all=True, limit=limit + 1)
-    if len(solutions) > limit:
-        raise CapExceededError(f"more than {limit} strategies")
+    solutions = list(itertools.islice(_assignments(rel), STRATEGY_CAP + 1))
+    if len(solutions) > STRATEGY_CAP:
+        raise CapExceededError(f"more than {STRATEGY_CAP} strategies")
     return [_strategy_from_assignment(s) for s in solutions]
 
 
@@ -257,11 +279,7 @@ def _message_candidates(vertices, masks, membership, n, omega):
 
 
 def verify_classical_lower_bound(
-    g: Graph,
-    cliques: CliqueSet,
-    rel: Relation,
-    m: int,
-    max_nodes: int = 5_000_000,
+    g: Graph, cliques: CliqueSet, rel: Relation, m: int
 ) -> bool:
     """True iff no deterministic m-message encoding admits a covering decoder.
 
@@ -269,28 +287,10 @@ def verify_classical_lower_bound(
     which must be admissible for every input sharing the message (zero
     error) and must cover every admissible output of every such input
     (coverage).  Both hold together only when all inputs behind a message
-    have identical admissible-output vectors, so the exhaustive search over
-    encoders prunes any block mixing two different vectors and only branches
-    on opening new message blocks.
+    have identical admissible-output vectors, that is identical mask rows,
+    so the fewest messages any encoder needs is the number of distinct rows.
     """
-    # an input's admissible-output vector is its mask row
-    sigs = [row.tobytes() for row in rel.mask]
-    visited = 0
-
-    def place(i, blocks):
-        nonlocal visited
-        visited += 1
-        if visited > max_nodes:
-            raise CapExceededError("encoder search exceeded node cap")
-        if i == len(sigs):
-            return True
-        if sigs[i] in blocks:
-            return place(i + 1, blocks)
-        if len(blocks) < m:
-            return place(i + 1, blocks + [sigs[i]])
-        return False
-
-    return not place(0, [])
+    return len({row.tobytes() for row in rel.mask}) > m
 
 
 def randomized_encoding_feasible(
@@ -298,7 +298,6 @@ def randomized_encoding_feasible(
     cliques: CliqueSet,
     rel: Relation,
     m: int,
-    max_combinations: int = 5_000_000,
 ):
     """Witness for the stronger adversary whose encoder is randomized too.
 
@@ -320,9 +319,9 @@ def randomized_encoding_feasible(
     candidates = _message_candidates(vertices, masks, membership, n, cliques.omega)
     take = min(m, len(candidates))
     total = math.comb(len(candidates), take)
-    if total > max_combinations:
+    if total > ENCODING_COMBINATION_CAP:
         raise CapExceededError(
-            f"{total} message-set combinations exceed cap {max_combinations}"
+            f"{total} message-set combinations exceed cap {ENCODING_COMBINATION_CAP}"
         )
     for combo in itertools.combinations(range(len(candidates)), take):
         covered = set()
@@ -383,14 +382,23 @@ class PublicCoinMixture:
         }
 
 
-def _assignment_of(strategy: ClassicalStrategy, n: int, omega: int):
-    perms = []
-    for x in range(1, n + 1):
-        perm = [None] * omega
-        for a in range(omega):
-            perm[strategy.encoder[(x, a)]] = a
-        perms.append(tuple(perm))
-    return perms
+def _single_clique_variants(rel: Relation) -> list[tuple[tuple[int, ...], ...]]:
+    """The first assignment, then each admissible variant of it in one clique
+    past the first, cliques in order and bijections in lexicographic order."""
+    n, omega = rel.n, rel.omega
+    base = _first_assignment(rel)
+    perm_tuples = list(itertools.permutations(range(omega)))
+    perms = np.array(perm_tuples, dtype=np.intp)
+    rows = np.arange(n)[:, None] * omega + np.array(base, dtype=np.intp)
+    # variants differ from the base, and from each other, in exactly one
+    # clique, so they are distinct; only tuples pairing that clique change
+    chosen = [base]
+    for i in range(1, n):
+        cols = i * omega + perms
+        fits = _fits(rel.mask, rows[:i], cols) & _fits(rel.mask.T, rows[i + 1:], cols)
+        chosen += [base[:i] + (perm_tuples[p],) + base[i + 1:]
+                   for p in np.flatnonzero(fits).tolist() if perm_tuples[p] != base[i]]
+    return chosen
 
 
 def mixture_for_coverage(g: Graph, cliques: CliqueSet, rel: Relation) -> PublicCoinMixture:
@@ -405,28 +413,12 @@ def mixture_for_coverage(g: Graph, cliques: CliqueSet, rel: Relation) -> PublicC
     when even the full variant family leaves part of the relation uncovered.
     """
     n, omega = rel.n, rel.omega
-    base = ccr_protocol(g, cliques, rel)
-    assign = _assignment_of(base, n, omega)
-    chosen = [tuple(assign)]
-    for i in range(1, n):
-        for perm in itertools.permutations(range(omega)):
-            if perm == assign[i]:
-                continue
-            trial = list(assign)
-            trial[i] = perm
-            if _pairwise_admissible(trial, rel):
-                chosen.append(tuple(trial))
-    unique = []
-    for a in chosen:
-        if a not in unique:
-            unique.append(a)
-    w = Fraction(1, len(unique))
+    chosen = _single_clique_variants(rel)
+    w = Fraction(1, len(chosen))
     mixture = PublicCoinMixture(
-        tuple(_strategy_from_assignment(a) for a in unique),
-        tuple(w for _ in unique),
+        tuple(_strategy_from_assignment(a) for a in chosen),
+        tuple(w for _ in chosen),
     )
-    from .tables import check_coverage
-
     if not check_coverage(mixture.table(n, omega), rel)[0]:
         raise SearchExhaustedError(
             "single-clique variants do not reach every admissible tuple here"
@@ -434,22 +426,10 @@ def mixture_for_coverage(g: Graph, cliques: CliqueSet, rel: Relation) -> PublicC
     return mixture
 
 
-def _pairwise_admissible(assign, rel: Relation) -> bool:
-    n, omega = rel.n, rel.omega
-    for j in range(n):
-        for k in range(j + 1, n):
-            for i in range(omega):
-                if (j + 1, assign[j][i], k + 1, assign[k][i]) not in rel:
-                    return False
-    return True
-
-
 def mixture_for_optimality(
     g: Graph,
     cliques: CliqueSet,
     rel: Relation,
-    max_rows: int = 8,
-    max_combinations: int = 2_000_000,
 ) -> PublicCoinMixture:
     """Smallest uniform mixture of deterministic strategies meeting the payoff bound.
 
@@ -470,10 +450,10 @@ def mixture_for_optimality(
     eta = rel.max_valid_outputs()
     positions = range(rel.size)
 
-    for big_n in range(eta, max_rows + 1, eta):
+    for big_n in range(eta, MIXTURE_ROW_CAP + 1, eta):
         quota = big_n // eta
         total = math.comb(len(pool_tables) + big_n - 1, big_n)
-        if total > max_combinations:
+        if total > MIXTURE_COMBINATION_CAP:
             raise CapExceededError("mixture search space exceeds cap")
         for combo in itertools.combinations_with_replacement(
             range(len(pool_tables)), big_n
@@ -488,7 +468,7 @@ def mixture_for_optimality(
                     tuple(w for _ in combo),
                 )
     raise SearchExhaustedError(
-        f"no uniform mixture of at most {max_rows} strategies meets the bound"
+        f"no uniform mixture of at most {MIXTURE_ROW_CAP} strategies meets the bound"
     )
 
 
@@ -523,52 +503,67 @@ def is_orthogonal_array(rows, t: int = 2) -> bool:
     return True
 
 
-def _oa_exists(n_rows: int, k: int) -> bool:
-    """Backtracking search with nondecreasing rows and an all-zero first row.
+def _conference(q: int, sign: int) -> np.ndarray:
+    """[[0, 1^T], [sign * 1, Q]], Q the quadratic-character matrix of prime q."""
+    return np.block([[np.zeros((1, 1), dtype=np.int64), np.ones((1, q), dtype=np.int64)],
+                     [np.full((q, 1), sign, dtype=np.int64), character_matrix(q)]])
 
-    Any strength-two array can be column-flipped so its lexicographically
-    least row is all zeros, so this canonical form preserves existence.
+
+def _hadamard(order: int) -> np.ndarray | None:
+    """A normalized Hadamard matrix (first row and column all +1), or None.
+
+    Paley I covers order q + 1 for a prime q = 3 mod 4 (I + S with S the
+    skew conference matrix), Paley II order 2(q + 1) for a prime q = 1 mod 4
+    (from the symmetric conference matrix C as C x [[1,1],[1,-1]] +
+    I x [[1,-1],[-1,-1]]), and Sylvester doubling [[H, H], [H, -H]] every
+    order twice a covered one.  Together they cover every order 4..48.
     """
-    lam = n_rows // 4
-    pairs = list(itertools.combinations(range(k), 2))
-    counts = {p: [0, 0, 0, 0] for p in pairs}
-
-    def add(r, sign):
-        for p in pairs:
-            pat = 2 * ((r >> p[0]) & 1) + ((r >> p[1]) & 1)
-            counts[p][pat] += sign
-
-    def over_quota():
-        return any(c > lam for cs in counts.values() for c in cs)
-
-    def place(start, remaining):
-        if remaining == 0:
-            return all(c == lam for cs in counts.values() for c in cs)
-        for r in range(start, 2 ** k):
-            add(r, +1)
-            if not over_quota() and place(r, remaining - 1):
-                return True
-            add(r, -1)
-        return False
-
-    add(0, +1)
-    return place(0, n_rows - 1)
+    if order == 1:
+        return np.ones((1, 1), dtype=np.int64)
+    if order % 2:
+        return None
+    if order % 4 == 0 and is_prime(order - 1):  # q = order - 1 = 3 mod 4
+        h = _conference(order - 1, -1) + np.eye(order, dtype=np.int64)
+    elif order % 8 == 4 and is_prime(order // 2 - 1):  # q = order/2 - 1 = 1 mod 4
+        h = (np.kron(_conference(order // 2 - 1, 1), [[1, 1], [1, -1]])
+             + np.kron(np.eye(order // 2, dtype=np.int64), [[1, -1], [-1, -1]]))
+    else:
+        half = _hadamard(order // 2)
+        if half is None:
+            return None
+        h = np.block([[half, half], [half, -half]])
+    h = h * h[0]
+    return h * h[:, :1]
 
 
-def min_oa_rows(k: int, max_k: int = 8, max_rows: int = 16) -> int:
+def _orthogonal_array(k: int) -> np.ndarray:
+    """A binary strength-two orthogonal array with k >= 2 columns and the
+    fewest rows, N = 4 ceil((k + 1) / 4) (Rao's bound, with N a multiple of
+    four).  Its rows are columns 1..k of a normalized Hadamard matrix of
+    order N mapped +1 -> 0 and -1 -> 1: those columns are balanced and
+    pairwise orthogonal, so each column pair shows every pattern N/4 times.
+    """
+    n_rows = 4 * -(-(k + 1) // 4)
+    h = _hadamard(n_rows)
+    if h is None:
+        raise SearchExhaustedError(
+            f"no Hadamard matrix of order {n_rows} from Sylvester doubling or Paley I/II"
+        )
+    rows = (1 - h[:, 1:k + 1]) // 2
+    if not is_orthogonal_array(rows):
+        raise ConstructionFailedError(f"order-{n_rows} rows fail the strength-two check")
+    return rows
+
+
+def min_oa_rows(k: int) -> int:
     """Minimum row count of a binary strength-two orthogonal array with k columns.
 
     One column cannot express the strength-two condition; two rows {0, 1} are
-    taken as the degenerate answer there.  Row counts step by four since each
-    column pair must split evenly into four patterns.
+    taken as the degenerate answer there.  From two columns on, the array is
+    constructed from a Hadamard matrix and certified.
     """
     if k < 1:
         raise InvalidParamsError("k must be positive")
-    if k > max_k:
-        raise CapExceededError(f"k={k} exceeds cap {max_k}")
     if k == 1:
         return 2
-    for n_rows in range(4, max_rows + 1, 4):
-        if _oa_exists(n_rows, k):
-            return n_rows
-    raise SearchExhaustedError(f"no array found with at most {max_rows} rows")
+    return len(_orthogonal_array(k))

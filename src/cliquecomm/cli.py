@@ -181,7 +181,7 @@ def cmd_complexity(args) -> None:
         payload = {
             "m": args.m,
             "no_protocol_with_m_messages": verify_classical_lower_bound(
-                g, cliques, rel, args.m, max_nodes=args.cap
+                g, cliques, rel, args.m
             ),
         }
     _emit(args, payload, {"in": args.infile, "m": args.m})
@@ -295,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.add_argument("action", choices=["ccr", "sccr", "lowerbound"])
     p_cx.add_argument("--in", dest="infile", required=True)
     p_cx.add_argument("--m", type=int, default=0)
-    p_cx.add_argument("--cap", type=int, default=5_000_000,
-                      help="search-node cap of lowerbound")
     p_cx.set_defaults(func=cmd_complexity)
 
     p_q = sub.add_parser("quantum", parents=[common], help="quantum strategies and analyses")

@@ -38,8 +38,10 @@ def quadratic_residues(q: int) -> frozenset[int]:
 
 
 def character_matrix(q: int) -> np.ndarray:
-    """Integer matrix of quadratic-character values chi(k-l) in {-1, 0, 1}."""
-    _require_paley_prime(q)
+    """Integer matrix of quadratic-character values chi(k-l) in {-1, 0, 1}, for
+    any odd prime q; skew-symmetric when q = 3 mod 4 (Paley I Hadamard)."""
+    if not is_prime(q) or q == 2:
+        raise InvalidParamsError(f"q={q} is not an odd prime")
     residues = quadratic_residues(q)
     chi = np.empty(q, dtype=np.int64)
     chi[0] = 0
@@ -51,6 +53,7 @@ def character_matrix(q: int) -> np.ndarray:
 
 def verify_character_square(q: int) -> bool:
     """Exact integer check that the character matrix squares to qI - J."""
+    _require_paley_prime(q)
     k = character_matrix(q)
     expected = q * np.eye(q, dtype=np.int64) - np.ones((q, q), dtype=np.int64)
     return bool(np.array_equal(k @ k, expected))
@@ -62,6 +65,7 @@ def adjacency_matrix(q: int) -> np.ndarray:
 
 def adjacency_from_character(q: int) -> np.ndarray:
     """A = (K + J - I)/2; exact integer identity with the edge-built adjacency."""
+    _require_paley_prime(q)
     k = character_matrix(q)
     j = np.ones((q, q), dtype=np.int64)
     i = np.eye(q, dtype=np.int64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph
-from .relation import Relation, selected_vertex, slot_index, slot_label
+from .relation import Relation, build_relation, selected_vertex, slot_index, slot_label
 
 ZERO_TOL = 1e-9
 
@@ -314,8 +314,6 @@ def compress_rows(table: ProbTable, g: Graph, cliques: CliqueSet) -> CompressedT
     exactly one row per vertex.  Requires a consistent table whose mergeable
     rows are actually identical.
     """
-    from .relation import build_relation  # local import to avoid cycle at import time
-
     rel = build_relation(g, cliques)
     ok, violations = check_consistency(table, rel)
     if not ok:

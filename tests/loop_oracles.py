@@ -432,3 +432,118 @@ def representation_payoff(rep, g):
         if not g.adjacent(u, v)
     ]
     return min(values) if values else 1.0
+
+
+def assignment_search(rel, find_all, limit=None):
+    """Recursive backtracking over per-clique label bijections, one tuple
+    membership test per paired slot; the first clique keeps the identity."""
+    n, omega = rel.n, rel.omega
+    perms = list(itertools.permutations(range(omega)))
+    solutions = []
+
+    def compatible(assign, k, perm):
+        for j, pj in enumerate(assign):
+            for i in range(omega):
+                if (j + 1, pj[i], k + 1, perm[i]) not in rel:
+                    return False
+        return True
+
+    def place(assign):
+        k = len(assign)
+        if k == n:
+            solutions.append(tuple(assign))
+            return not find_all
+        for perm in perms:
+            if compatible(assign, k, perm):
+                if place(assign + [perm]):
+                    return True
+                if limit is not None and len(solutions) >= limit:
+                    return True
+        return False
+
+    place([tuple(range(omega))])
+    return solutions
+
+
+def pairwise_admissible(assign, rel):
+    n, omega = rel.n, rel.omega
+    for j in range(n):
+        for k in range(j + 1, n):
+            for i in range(omega):
+                if (j + 1, assign[j][i], k + 1, assign[k][i]) not in rel:
+                    return False
+    return True
+
+
+def coverage_variants(rel):
+    """The canonical assignment, then each admissible single-clique variant
+    of it, cliques past the first in order and bijections in lexicographic
+    order; None when no assignment exists."""
+    solutions = assignment_search(rel, find_all=False)
+    if not solutions:
+        return None
+    base = list(solutions[0])
+    chosen = [tuple(base)]
+    for i in range(1, rel.n):
+        for perm in itertools.permutations(range(rel.omega)):
+            if perm == base[i]:
+                continue
+            trial = list(base)
+            trial[i] = perm
+            if pairwise_admissible(trial, rel):
+                chosen.append(tuple(trial))
+    unique = []
+    for a in chosen:
+        if a not in unique:
+            unique.append(a)
+    return unique
+
+
+def classical_lower_bound(rel, m):
+    """Recursive scan placing inputs into at most m blocks of identical
+    admissible-output rows; True when the scan fails."""
+    sigs = [tuple(rel.valid_outputs(x, a, y) for y in range(1, rel.n + 1))
+            for x in range(1, rel.n + 1) for a in range(rel.omega)]
+
+    def place(i, blocks):
+        if i == len(sigs):
+            return True
+        if sigs[i] in blocks:
+            return place(i + 1, blocks)
+        if len(blocks) < m:
+            return place(i + 1, blocks + [sigs[i]])
+        return False
+
+    return not place(0, [])
+
+
+def oa_exists(n_rows, k):
+    """Backtracking search with nondecreasing rows and an all-zero first row.
+
+    Any strength-two array can be column-flipped so its lexicographically
+    least row is all zeros, so this canonical form preserves existence.
+    """
+    lam = n_rows // 4
+    pairs = list(itertools.combinations(range(k), 2))
+    counts = {p: [0, 0, 0, 0] for p in pairs}
+
+    def add(r, sign):
+        for p in pairs:
+            pat = 2 * ((r >> p[0]) & 1) + ((r >> p[1]) & 1)
+            counts[p][pat] += sign
+
+    def over_quota():
+        return any(c > lam for cs in counts.values() for c in cs)
+
+    def place(start, remaining):
+        if remaining == 0:
+            return all(c == lam for cs in counts.values() for c in cs)
+        for r in range(start, 2 ** k):
+            add(r, +1)
+            if not over_quota() and place(r, remaining - 1):
+                return True
+            add(r, -1)
+        return False
+
+    add(0, +1)
+    return place(0, n_rows - 1)

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from cliquecomm import (
-    CapExceededError,
     ConditionsNotMetError,
     Graph,
     build_relation,
@@ -172,12 +171,6 @@ def test_lower_bound_one_below_order(make):
     assert verify_classical_lower_bound(g, cliques, rel, g.order - 1)
 
 
-def test_lower_bound_cap():
-    g, cliques, rel = setup_graph(gen_disconnected(3, 3))
-    with pytest.raises(CapExceededError):
-        verify_classical_lower_bound(g, cliques, rel, 8, max_nodes=2)
-
-
 def test_randomized_encoders_beat_the_bound_on_three_cliques():
     # with a randomized encoder the order-of-graph bound is not tight here:
     # five messages cover all of disc(3,2) while the deterministic bound is 6
@@ -274,11 +267,6 @@ def test_min_oa_rows_up_to_seven_columns():
     # eight rows keep working up to seven columns (one per nonzero parity)
     for k in (5, 6, 7):
         assert min_oa_rows(k) == 8
-
-
-def test_min_oa_rows_cap():
-    with pytest.raises(CapExceededError):
-        min_oa_rows(9)
 
 
 def test_coverage_mixture_extends_to_larger_cliques():

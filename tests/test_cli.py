@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cliquecomm import gen_disconnected
 from cliquecomm.cli import dumps_canonical, main
 
 
@@ -77,6 +78,15 @@ def test_complexity_commands(tmp_path, capsys):
     assert code == 0 and json.loads(text)["no_protocol_with_m_messages"] is True
 
 
+def test_lowerbound_past_the_recursion_limit(tmp_path, capsys):
+    # 1 200 slots, each its own admissible-output row
+    gpath = tmp_path / "d600.json"
+    gpath.write_text(json.dumps(gen_disconnected(600, 2).to_json()))
+    for m, expected in (("1200", "false"), ("1199", "true")):
+        code, text = run_cli(capsys, "complexity", "lowerbound", "--in", str(gpath), "--m", m)
+        assert code == 0 and f'"no_protocol_with_m_messages":{expected}' in text
+
+
 def test_quantum_paley_command(capsys):
     code, text = run_cli(capsys, "paley", "analyze", "--q", "13")
     assert code == 0
@@ -127,19 +137,13 @@ def test_quantum_mub_tol_flag_takes_effect(tmp_path, capsys):
     assert code == 0 and json.loads(text)["mub"] is True
 
 
-def test_complexity_cap_flag_takes_effect(tmp_path, capsys):
-    gpath = chain5_file(tmp_path, capsys)
-    code, _ = run_cli(capsys, "complexity", "lowerbound", "--in", gpath, "--m", "4")
-    assert code == 0
-    code, _ = run_cli(capsys, "complexity", "lowerbound", "--in", gpath, "--m", "4",
-                      "--cap", "2")
-    assert code == 4
-
-
 def test_moved_flags_are_not_global(capsys):
-    for flag in ("--tol", "--cap"):
+    # --tol belongs to quantum; --cap is gone from every position
+    for argv in (["--tol", "1", "paley", "analyze", "--q", "5"],
+                 ["--cap", "1", "complexity", "lowerbound", "--in", "g.json"],
+                 ["complexity", "lowerbound", "--in", "g.json", "--cap", "1"]):
         with pytest.raises(SystemExit) as info:
-            main([flag, "1", "paley", "analyze", "--q", "5"])
+            main(argv)
         assert info.value.code == 2
     with pytest.raises(SystemExit):
         main(["quantum", "paley", "--q", "5"])
@@ -189,9 +193,11 @@ def test_quantum_optimize_command(tmp_path, capsys):
 def test_exit_codes(tmp_path, capsys):
     code, _ = run_cli(capsys, "graph", "gen", "--family", "paley", "--q", "9")
     assert code == 2
-    gpath = chain5_file(tmp_path, capsys)
-    code, _ = run_cli(capsys, "complexity", "lowerbound", "--in", gpath,
-                      "--m", "4", "--cap", "2")
+    # 24 tuples are past the 20-tuple cap of the exact success probability
+    d23 = tmp_path / "d23.json"
+    run_cli(capsys, "graph", "gen", "--family", "disconnected", "--n", "2", "--omega", "3",
+            "--out", str(d23))
+    code, _ = run_cli(capsys, "simulate", "success", "--in", str(d23))
     assert code == 4
     # a relation violating diagonal determinism is a model inconsistency
     bad = tmp_path / "bad_rel.json"

@@ -1,11 +1,13 @@
 """One test per documented CLI exit code: a message on stderr, no traceback."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cliquecomm import CliquecommError, OrthogonalRepresentation, cli
+from cliquecomm import CliquecommError, OrthogonalRepresentation, cli, gen_disconnected
 from cliquecomm.cli import main
 
 C4 = {"order": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -54,8 +56,9 @@ def test_partial_relation_exits_3(tmp_path, capsys):
 
 
 def test_node_cap_exits_4(tmp_path, capsys):
-    g = write(tmp_path, "c4.json", C4)
-    code, err = run(capsys, "complexity", "lowerbound", "--in", g, "--m", "1", "--cap", "1")
+    # disconnected(2,3) has 24 tuples, past the 20-tuple exact cap
+    g = write(tmp_path, "d23.json", gen_disconnected(2, 3).to_json())
+    code, err = run(capsys, "simulate", "success", "--in", g)
     assert code == 4 and err.startswith("cap exceeded:")
 
 
@@ -103,6 +106,13 @@ def test_other_package_error_exits_11(capsys, monkeypatch):
 def test_every_code_is_distinct():
     codes = [code for _, code, _ in cli.FAILURES]
     assert len(codes) == len(set(codes)) and 0 not in codes and 1 not in codes
+
+
+def test_readme_lists_every_exit_code():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("```", 1)[0]
+    listed = [int(code) for code in re.findall(r"^\| (\d+) \|", section, re.M)]
+    assert listed == sorted({0, 2} | {code for _, code, _ in cli.FAILURES})
 
 
 @pytest.mark.parametrize("argv", [["graph", "bogus"], ["relation", "build"]])

@@ -21,6 +21,7 @@ from cliquecomm.paley import (
     adjacency_from_character,
     adjacency_matrix,
     adjacency_spectrum,
+    character_matrix,
     expected_adjacency_spectrum,
     extract_vectors,
     fourier_eigenvector_check,
@@ -59,6 +60,17 @@ def test_adjacency_spectrum_values(q):
     assert spectrum_matches(eigs, expected_adjacency_spectrum(q))
     second = (-1 + np.sqrt(q)) / 2
     assert np.sum(np.abs(eigs - second) < 1e-9) == (q - 1) // 2
+
+
+def test_character_matrix_admits_every_odd_prime():
+    k = character_matrix(7)
+    assert np.array_equal(k, -k.T)
+    for check in (verify_character_square, adjacency_from_character):
+        with pytest.raises(InvalidParamsError):
+            check(7)
+    for q in (2, 9):
+        with pytest.raises(InvalidParamsError):
+            character_matrix(q)
 
 
 def test_prime_power_rejected():
