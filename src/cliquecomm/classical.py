@@ -401,27 +401,35 @@ def _single_clique_variants(rel: Relation) -> list[tuple[tuple[int, ...], ...]]:
     return chosen
 
 
+def _uniform_mixture(strategies) -> PublicCoinMixture:
+    w = Fraction(1, len(strategies))
+    return PublicCoinMixture(tuple(strategies), tuple(w for _ in strategies))
+
+
 def mixture_for_coverage(g: Graph, cliques: CliqueSet, rel: Relation) -> PublicCoinMixture:
-    """Uniform mixture of single-clique variants putting weight on every admissible tuple.
+    """Uniform mixture of consistent strategies putting weight on every admissible tuple.
 
     Starts from the canonical strategy and adds, for each clique past the
     first, every variant whose bijection for that clique alone is replaced
     by an admissible alternative.  Size-two cliques have one alternative
     each, so n disjoint edges give the identity table plus the n-1
     single-swap tables and the payoff is exactly 1/n; larger cliques
-    contribute more variants and a correspondingly smaller payoff.  Raises
-    when even the full variant family leaves part of the relation uncovered.
+    contribute more variants and a correspondingly smaller payoff.  When
+    the variants leave part of the relation uncovered, the mixture is the
+    uniform one over every consistent strategy (CapExceededError past
+    STRATEGY_CAP of them): no mixture reaches a tuple that none of them
+    reaches, so it raises only when no covering mixture exists.
     """
     n, omega = rel.n, rel.omega
-    chosen = _single_clique_variants(rel)
-    w = Fraction(1, len(chosen))
-    mixture = PublicCoinMixture(
-        tuple(_strategy_from_assignment(a) for a in chosen),
-        tuple(w for _ in chosen),
+    mixture = _uniform_mixture(
+        [_strategy_from_assignment(a) for a in _single_clique_variants(rel)]
     )
+    if check_coverage(mixture.table(n, omega), rel)[0]:
+        return mixture
+    mixture = _uniform_mixture(enumerate_consistent_strategies(g, cliques, rel))
     if not check_coverage(mixture.table(n, omega), rel)[0]:
         raise SearchExhaustedError(
-            "single-clique variants do not reach every admissible tuple here"
+            "no consistent strategy reaches some admissible tuple here"
         )
     return mixture
 
@@ -462,11 +470,7 @@ def mixture_for_optimality(
                 sum(pool_tables[ci][0][j] for ci in combo) >= quota
                 for j in positions
             ):
-                w = Fraction(1, big_n)
-                return PublicCoinMixture(
-                    tuple(pool_tables[ci][1] for ci in combo),
-                    tuple(w for _ in combo),
-                )
+                return _uniform_mixture([pool_tables[ci][1] for ci in combo])
     raise SearchExhaustedError(
         f"no uniform mixture of at most {MIXTURE_ROW_CAP} strategies meets the bound"
     )

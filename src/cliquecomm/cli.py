@@ -1,9 +1,10 @@
 """Command-line surface: file-based workflows over the library.
 
-Every command reads/writes JSON (or CSV for run logs and success curves),
-stamps a provenance header, and renders floats with 17 significant digits
-so identical invocations produce byte-identical output.  Every failure
-the package anticipates exits with its own code and a one-line message on
+Every command reads/writes JSON (or CSV for run logs and success curves)
+and stamps a provenance header.  JSON goes out canonical (`dumps_canonical`:
+sorted keys, no spaces, floats with 17 significant digits), so identical
+invocations produce byte-identical output.  Every failure the package
+anticipates exits with its own code and a one-line message on
 standard error, never a traceback; FAILURES lists the codes.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -62,28 +64,32 @@ from .simulate import (
 from .tables import ProbTable, payoff as table_payoff
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, int):
-        return str(value)
-    if value is None:
-        return "null"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_fmt(v)}" for k, v in sorted(value.items()))
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
-    raise TypeError(f"cannot render {type(value)}")
+_STRING = re.compile(r'("[^"\\]*(?:\\.[^"\\]*)*")')
+# a number token with a fraction or an exponent (json.dumps writes ints as
+# bare digits), or a non-finite float
+_FLOAT = re.compile(r"-?\d+(?:\.\d+(?:[eE][-+]?\d+)?|[eE][-+]?\d+)|-?Infinity|NaN")
+
+
+def _float17(match: re.Match) -> str:
+    return format(float(match[0]), ".17g")
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    return _fmt(obj)
+    """Deterministic JSON: sorted keys, no spaces, floats at 17 significant digits.
+
+    The C encoder writes the document; each float it wrote as its repr is
+    then rewritten as format(x, ".17g"), and Infinity, -Infinity and NaN
+    as inf, -inf and nan.  Values other than dicts, lists, tuples, str,
+    int, float, bool and None raise TypeError.
+    """
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # string literals land at the odd indices; a stretch between them
+    # without '.', 'e', 'E', 'I' or 'N' holds no float and is kept as is
+    parts = _STRING.split(text)
+    for i in range(0, len(parts), 2):
+        if any(c in parts[i] for c in ".eEIN"):
+            parts[i] = _FLOAT.sub(_float17, parts[i])
+    return "".join(parts)
 
 
 def _emit(args, payload: dict, params: dict):

@@ -5,6 +5,10 @@ ascending order so that the position of a vertex inside its clique is
 well defined.  Three generator families are provided: disjoint unions of
 equal cliques, chains of cliques overlapping in r vertices, and Paley
 graphs on a prime field.
+
+The two graph searches, maximum cliques and the vertex connectivity of
+the complement, run over Python-int bitsets packed from the adjacency
+matrix: bit v of a row stands for vertex v.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .errors import EmptyGraphError, InvalidParamsError
@@ -168,21 +171,52 @@ class ConditionReport:
         return self.covers_all_vertices and self.pairs_distinguishable
 
 
+def _row_bits(adjacency: np.ndarray) -> list[int]:
+    """Each row of a boolean vertex-indexed matrix as an int with bit v for column v."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def enumerate_maximum_cliques(g: Graph) -> CliqueSet:
     """All maximum cliques of g, sorted lexicographically by vertex list.
 
-    Maximal cliques come from networkx's Bron-Kerbosch enumeration; only
-    those of the largest size are kept.
+    A Bron-Kerbosch search with Tomita's pivot (the candidate or excluded
+    vertex with the most candidate neighbours) over bitset rows, bounded by
+    the largest clique found so far: a branch whose clique plus candidates
+    cannot reach that size is cut, so only cliques of the maximum size are
+    kept.
     """
     if g.order == 0:
         raise EmptyGraphError("cannot enumerate cliques of the empty graph")
-    nxg = nx.Graph()
-    nxg.add_nodes_from(g.vertices)
-    nxg.add_edges_from(g.edges)
-    maximal = [tuple(sorted(c)) for c in nx.find_cliques(nxg)]
-    omega = max(len(c) for c in maximal)
-    cliques = sorted(c for c in maximal if len(c) == omega)
-    return CliqueSet(omega, tuple(cliques))
+    adj = _row_bits(g.adjacency)
+    found: list[tuple[int, ...]] = []
+
+    def expand(clique, cand, excl):
+        if not cand:
+            size = len(found[0]) if found else 0
+            if not excl and len(clique) >= size:
+                if len(clique) > size:
+                    found.clear()
+                found.append(tuple(sorted(clique)))
+            return
+        pivot = max(_bits(cand | excl), key=lambda u: (cand & adj[u]).bit_count())
+        for v in _bits(cand & ~adj[pivot]):
+            if found and len(clique) + cand.bit_count() < len(found[0]):
+                return
+            expand(clique + [v], cand & adj[v], excl & adj[v])
+            cand &= ~(1 << v)
+            excl |= 1 << v
+
+    expand([], (2 << g.order) - 2, 0)
+    return CliqueSet(len(found[0]), tuple(sorted(found)))
 
 
 def gen_disconnected(n: int, omega: int) -> Graph:
@@ -280,17 +314,103 @@ def _pairs_distinguishable(g: Graph, cliques: CliqueSet) -> bool:
     return not np.triu(in_distinct & same_neighbours, k=1).any()
 
 
+def _local_connectivity(adj: list[int], s: int, t: int, cutoff: int) -> int:
+    """Internally disjoint paths between non-adjacent s and t, counted up to cutoff.
+
+    Unit-capacity augmenting paths on the split graph, where each vertex w
+    is an arc w_in -> w_out of capacity one and each edge {u, w} the arcs
+    u_out -> w_in and w_out -> u_in.  out[u] holds the w whose arc
+    u_out -> w_in carries flow, and prev[w] the u whose arc carries flow
+    into an inner vertex w (0 for none), so w's own arc carries flow iff
+    prev[w] is set.  The common neighbours of s and t give the first paths
+    at once.
+    """
+    out = [0] * len(adj)
+    prev = [0] * len(adj)
+    flow = 0
+    for c in _bits(adj[s] & adj[t]):
+        if flow == cutoff:
+            return flow
+        out[s] |= 1 << c
+        out[c] = 1 << t
+        prev[c] = s
+        flow += 1
+    while flow < cutoff:
+        # depth-first from s_out to t_in in the residual graph;
+        # reached_in[w] = u: w_in was reached from u_out (u == w: back
+        # along w's own arc); reached_out[u] = w: u_out was reached from
+        # w_in (w == u: along u's own arc, else back along u_out -> w_in)
+        reached_in: dict[int, int] = {}
+        reached_out = {s: s}
+        seen_in, seen_out = 1 << s, 1 << s
+        stack = [s]
+        while stack and t not in reached_in:
+            u = stack.pop()
+            new = adj[u] & ~out[u] & ~seen_in
+            if prev[u] and not seen_in >> u & 1:
+                new |= 1 << u
+            seen_in |= new
+            for w in _bits(new):
+                reached_in[w] = u
+                if w == t:
+                    break
+                x = prev[w] or w
+                if not seen_out >> x & 1:
+                    seen_out |= 1 << x
+                    reached_out[x] = w
+                    stack.append(x)
+        if t not in reached_in:
+            break
+        added, cancelled = [], []
+        w = t
+        while True:
+            u = reached_in[w]
+            if u != w:
+                added.append((u, w))
+            if u == s:
+                break
+            w = reached_out[u]
+            if w != u:
+                cancelled.append((u, w))
+        # cancel before adding: a path that cancels u -> w also adds the
+        # new arc into w
+        for u, w in cancelled:
+            out[u] &= ~(1 << w)
+            prev[w] = 0
+        for u, w in added:
+            out[u] |= 1 << w
+            if w != t:
+                prev[w] = u
+        flow += 1
+    return flow
+
+
 def _complement_connectivity(g: Graph) -> int:
-    """Vertex connectivity of the complement graph (0 when already disconnected)."""
-    comp = complement(g)
-    nxg = nx.Graph()
-    nxg.add_nodes_from(comp.vertices)
-    nxg.add_edges_from(comp.edges)
-    if comp.order <= 1:
+    """Vertex connectivity of the complement graph (0 when already disconnected).
+
+    Esfahanian and Hakimi (1984): with v of minimum degree k, the
+    connectivity is the least of k, the local connectivity from v to each
+    non-neighbour and that between each two non-adjacent neighbours of v;
+    each local count stops at the least value so far.  A complete graph on
+    m vertices has connectivity m - 1.
+    """
+    if g.order <= 1:
         return 0
-    if not nx.is_connected(nxg):
-        return 0
-    return nx.node_connectivity(nxg)
+    comp = ~g.adjacency
+    np.fill_diagonal(comp, False)
+    comp[0] = comp[:, 0] = False
+    adj = _row_bits(comp)
+    v = min(g.vertices, key=lambda u: adj[u].bit_count())
+    k = adj[v].bit_count()
+    everyone = (2 << g.order) - 2
+    pairs = [(v, w) for w in _bits(everyone & ~adj[v] & ~(1 << v))]
+    pairs += [(x, y) for x in _bits(adj[v]) for y in _bits(adj[v] & ~adj[x])
+              if x < y]
+    for s, t in pairs:
+        if k == 0:
+            break
+        k = _local_connectivity(adj, s, t, k)
+    return k
 
 
 def check_conditions(g: Graph, cliques: CliqueSet, dim_cap: int = 16) -> ConditionReport:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -346,6 +347,41 @@ def complement(g):
     return Graph(g.order, edges)
 
 
+def maximum_cliques(g):
+    """Every largest vertex subset that is pairwise adjacent, in lexicographic
+    order, tried from the largest size down; [] on the empty graph."""
+    for size in range(g.order, 0, -1):
+        found = [c for c in itertools.combinations(g.vertices, size)
+                 if all(g.adjacent(u, v) for u, v in itertools.combinations(c, 2))]
+        if found:
+            return found
+    return []
+
+
+def vertex_connectivity(g):
+    """Size of the smallest vertex set whose removal disconnects g, tried from
+    the smallest size up; order - 1 on a complete graph, 0 on at most one
+    vertex."""
+
+    neighbors = {v: g.neighbors(v) for v in g.vertices}
+
+    def connected(kept):
+        start = min(kept)
+        seen, todo = {start}, [start]
+        while todo:
+            for w in neighbors[todo.pop()] & kept - seen:
+                seen.add(w)
+                todo.append(w)
+        return seen == kept
+
+    vertices = frozenset(g.vertices)
+    for size in range(g.order - 1):
+        for cut in itertools.combinations(g.vertices, size):
+            if not connected(vertices - set(cut)):
+                return size
+    return max(g.order - 1, 0)
+
+
 def covers_all_vertices(g, cliques):
     covered = set()
     for c in cliques.cliques:
@@ -547,3 +583,28 @@ def oa_exists(n_rows, k):
 
     add(0, +1)
     return place(0, n_rows - 1)
+
+
+# ---------------------------------------------------------------------------
+# CLI: the recursive canonical-JSON writer
+# ---------------------------------------------------------------------------
+
+def _fmt(value) -> str:
+    """Canonical JSON written value by value: sorted keys, no spaces, floats
+    as format(x, ".17g")."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{_fmt(v)}" for k, v in sorted(value.items()))
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_fmt(v) for v in value) + "]"
+    raise TypeError(f"cannot render {type(value)}")

@@ -66,8 +66,8 @@ FAMILIES = {
 
 
 @st.composite
-def graphs(draw, max_order=7):
-    order = draw(st.integers(1, max_order))
+def graphs(draw, max_order=7, min_order=1):
+    order = draw(st.integers(min_order, max_order))
     pairs = list(itertools.combinations(range(1, order + 1), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph(order, [p for p, k in zip(pairs, keep) if k])

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from cliquecomm import (
+    CapExceededError,
     ConditionsNotMetError,
     Graph,
+    SearchExhaustedError,
     build_relation,
     ccr_protocol,
     check_consistency,
@@ -206,6 +208,36 @@ def test_coverage_mixture_single_clique():
     g, cliques, rel = setup_graph(gen_disconnected(1, 3))
     mix = mixture_for_coverage(g, cliques, rel)
     assert mix.coin_inputs == 1
+
+
+def test_coverage_mixture_falls_back_to_every_strategy():
+    # no single-clique variant of the canonical strategy reaches every
+    # admissible tuple of this chain; the 36 consistent strategies together do
+    g, cliques, rel = setup_graph(gen_nncc(3, 4, 1))
+    pool = enumerate_consistent_strategies(g, cliques, rel)
+    mix = mixture_for_coverage(g, cliques, rel)
+    assert len(pool) == 36 and mix.strategies == tuple(pool)
+    assert set(mix.weights) == {Fraction(1, 36)}
+    t = mix.table(3, 4)
+    assert check_consistency(t, rel)[0] and check_coverage(t, rel)[0]
+
+
+def test_coverage_mixture_raises_when_no_strategy_reaches_a_tuple():
+    # the path 4-2-1-3: its three edges admit consistent strategies, and some
+    # admissible tuple is chosen by none of them
+    g, cliques, rel = setup_graph(Graph(4, [(1, 2), (1, 3), (2, 4)]))
+    assert enumerate_consistent_strategies(g, cliques, rel)
+    with pytest.raises(SearchExhaustedError, match="no consistent strategy reaches"):
+        mixture_for_coverage(g, cliques, rel)
+
+
+def test_coverage_mixture_fallback_respects_the_strategy_cap(monkeypatch):
+    from cliquecomm import classical
+
+    g, cliques, rel = setup_graph(gen_nncc(3, 4, 1))
+    monkeypatch.setattr(classical, "STRATEGY_CAP", 35)
+    with pytest.raises(CapExceededError):
+        mixture_for_coverage(g, cliques, rel)
 
 
 @pytest.mark.parametrize("n,expected", [(2, 2), (3, 4), (4, 4)])

@@ -72,17 +72,24 @@ def oracle_pool(rel):
     return [_strategy_from_assignment(a) for a in solutions]
 
 
+def uniform(strategies):
+    w = Fraction(1, len(strategies))
+    return PublicCoinMixture(tuple(strategies), tuple(w for _ in strategies))
+
+
 def oracle_coverage_mixture(rel):
+    """The single-clique variants, else the whole strategy pool, uniformly."""
     variants = oracle.coverage_variants(rel)
     if variants is None:
         raise SearchExhaustedError(
             "no omega-message consistent strategy exists for this instance")
-    w = Fraction(1, len(variants))
-    mix = PublicCoinMixture(tuple(_strategy_from_assignment(a) for a in variants),
-                            tuple(w for _ in variants))
+    mix = uniform([_strategy_from_assignment(a) for a in variants])
+    if check_coverage(mix.table(rel.n, rel.omega), rel)[0]:
+        return mix
+    mix = uniform(oracle_pool(rel))
     if not check_coverage(mix.table(rel.n, rel.omega), rel)[0]:
         raise SearchExhaustedError(
-            "single-clique variants do not reach every admissible tuple here")
+            "no consistent strategy reaches some admissible tuple here")
     return mix
 
 

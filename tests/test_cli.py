@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cliquecomm import gen_disconnected
+from cliquecomm import Graph, build_relation, enumerate_maximum_cliques, gen_disconnected
 from cliquecomm.cli import dumps_canonical, main
 
 
@@ -170,6 +170,27 @@ def test_simulate_run_and_success(tmp_path, capsys):
                          "--trials", "500", "--seed", "3")
     assert code == 0
     assert text.splitlines()[0] == "k,P_exact,P_mc,stderr"
+
+
+def test_simulate_coverage_mixture_past_the_single_clique_variants(tmp_path, capsys):
+    # the variants miss part of this chain's relation; the mixture of every
+    # consistent strategy covers it, and the run log stays on the relation
+    out = tmp_path / "nncc341.json"
+    run_cli(capsys, "graph", "gen", "--family", "nncc", "--n", "3", "--omega", "4",
+            "--r", "1", "--out", str(out))
+    code, text = run_cli(capsys, "simulate", "run", "--in", str(out),
+                         "--mixture", "coverage", "--k", "400", "--seed", "3")
+    assert code == 0
+    g = Graph.from_json(json.loads(out.read_text()))
+    rel = build_relation(g, enumerate_maximum_cliques(g))
+    rounds = {tuple(map(int, line.split(",")[1:])) for line in text.splitlines()[1:]}
+    assert len(rounds) > 1 and rounds <= set(rel.tuples)
+    # the exact success curve stops at its tuple cap (82 tuples here), not
+    # at the mixture search
+    code = main(["simulate", "success", "--in", str(out), "--mixture", "coverage",
+                 "--k-grid", "500", "--trials", "200"])
+    assert code == 4
+    assert "82 tuples exceed" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(capsys):
