@@ -28,9 +28,10 @@ from .errors import (
     InvalidParamsError,
     SearchExhaustedError,
 )
-from .graphs import SCHEMA_VERSION, CliqueSet, Graph, check_conditions, is_prime
+from .graphs import SCHEMA_VERSION, CliqueSet, Graph, is_prime
+from .graphs import _covers_all_vertices, _pairs_distinguishable
 from .paley import character_matrix
-from .relation import Relation, selected_vertex, slot_index
+from .relation import Relation, selected_vertices, slot_index
 from .tables import ProbTable, check_coverage, mix_tables
 
 STRATEGY_CAP = 4096  # strategies enumerate_consistent_strategies returns at most
@@ -200,26 +201,23 @@ def sccr_protocol(g: Graph, cliques: CliqueSet, rel: Relation) -> ClassicalStrat
     bound.  Requires every vertex covered by a maximum clique and all
     cross-clique vertex pairs distinguishable.
     """
-    # only G0 and G1 are read; dim_cap=0 skips the connectivity search
-    report = check_conditions(g, cliques, dim_cap=0)
-    if not report.reconstruction_ready:
+    # G0 and G1 only: the connectivity search behind G2 is not needed here
+    if not (_covers_all_vertices(g, cliques) and _pairs_distinguishable(g, cliques)):
         raise ConditionsNotMetError(
             "graph must cover all vertices and distinguish cross-clique pairs"
         )
-    vertex_msg = {v: v - 1 for v in g.vertices}
-    encoder = {}
+    slots = itertools.product(range(1, cliques.count + 1), range(cliques.omega))
+    # message v - 1 for an input selecting vertex v
+    encoder = dict(zip(slots, (selected_vertices(cliques) - 1).tolist()))
     defining_row = {}
-    for x in range(1, cliques.count + 1):
-        for a in range(cliques.omega):
-            v = selected_vertex(cliques.clique(x), a)
-            encoder[(x, a)] = vertex_msg[v]
-            defining_row.setdefault(v, (x, a))
+    for slot, msg in encoder.items():
+        defining_row.setdefault(msg, slot)
     decoder = {}
-    for v, (x, a) in defining_row.items():
+    for msg, (x, a) in defining_row.items():
         for y in range(1, cliques.count + 1):
             outs = rel.valid_outputs(x, a, y)
             w = Fraction(1, len(outs))
-            decoder[(vertex_msg[v], y)] = tuple((b, w) for b in outs)
+            decoder[(msg, y)] = tuple((b, w) for b in outs)
     return ClassicalStrategy(g.order, encoder, decoder)
 
 
@@ -242,17 +240,15 @@ def enumerate_consistent_strategies(
 # ---------------------------------------------------------------------------
 
 def _vertex_rows(cliques: CliqueSet, rel: Relation):
-    """Group Alice inputs by selected vertex; rows of one vertex are identical."""
-    rows = {}
-    for x in range(1, cliques.count + 1):
-        for a in range(cliques.omega):
-            v = selected_vertex(cliques.clique(x), a)
-            rows.setdefault(v, (x, a))
-    # admissible outputs of each (row, y) block as a bit set over labels
+    """(masks, membership) per selected vertex: the admissible outputs of
+    each Bob clique as a bit set over labels, from the first input that
+    selects the vertex (the rows of one vertex are identical), and the
+    cliques holding it."""
+    vertices, first = np.unique(selected_vertices(cliques), return_index=True)
     bits = rel.mask.reshape(-1, rel.n, rel.omega) @ (1 << np.arange(rel.omega))
-    masks = {v: tuple(bits[(x - 1) * rel.omega + a].tolist()) for v, (x, a) in rows.items()}
-    membership = {v: frozenset(cliques.cliques_containing(v)) for v in rows}
-    return rows, masks, membership
+    masks = dict(zip(vertices.tolist(), map(tuple, bits[first].tolist())))
+    membership = {v: frozenset(cliques.cliques_containing(v)) for v in masks}
+    return masks, membership
 
 
 def _message_candidates(vertices, masks, membership, n, omega):
@@ -312,8 +308,8 @@ def randomized_encoding_feasible(
     deterministic-encoder bound.
     """
     n = cliques.count
-    rows, masks, membership = _vertex_rows(cliques, rel)
-    vertices = sorted(rows)
+    masks, membership = _vertex_rows(cliques, rel)
+    vertices = sorted(masks)
     if m >= len(vertices):
         return tuple(frozenset([v]) for v in vertices)
     candidates = _message_candidates(vertices, masks, membership, n, cliques.omega)
@@ -480,10 +476,8 @@ def mixture_for_optimality(
 # Binary orthogonal arrays of strength two
 # ---------------------------------------------------------------------------
 
-def is_orthogonal_array(rows, t: int = 2) -> bool:
+def is_orthogonal_array(rows) -> bool:
     """Whether every pair of columns carries all four binary pairs equally often."""
-    if t != 2:
-        raise InvalidParamsError("only strength 2 is supported")
     rows = [tuple(int(x) for x in r) for r in rows]
     if not rows:
         return False

@@ -144,7 +144,7 @@ def cmd_graph(args) -> None:
         raise InvalidParamsError("graph check needs --in")
     g = Graph.from_json(_load_json(args.infile))
     cliques = enumerate_maximum_cliques(g)
-    report = check_conditions(g, cliques, dim_cap=g.order)
+    report = check_conditions(g, cliques)
     _emit(args, {
         "G0": report.covers_all_vertices,
         "G1": report.pairs_distinguishable,

@@ -14,8 +14,7 @@ matrix: bit v of a row stands for vertex v.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,10 +128,6 @@ class CliqueSet:
         """Vertex list of the clique with 1-based index."""
         return self.cliques[index - 1]
 
-    def vertex_at(self, index: int, position: int) -> int:
-        """Vertex at 0-based position inside the 1-based indexed clique."""
-        return self.cliques[index - 1][position]
-
     def cliques_containing(self, v: int) -> tuple[int, ...]:
         return tuple(
             i for i, c in enumerate(self.cliques, start=1) if v in c
@@ -158,13 +153,12 @@ class ConditionReport:
     pairs_distinguishable: for every two vertices lying in distinct maximum
         cliques there is a third vertex adjacent to exactly one of them.
     general_position_dim: the smallest k such that the complement graph can
-        only be disconnected by removing at least order-k vertices; None when
-        the graph exceeds the search cap.
+        only be disconnected by removing at least order-k vertices.
     """
 
     covers_all_vertices: bool
     pairs_distinguishable: bool
-    general_position_dim: int | None = field(default=None)
+    general_position_dim: int
 
     @property
     def reconstruction_ready(self) -> bool:
@@ -413,21 +407,15 @@ def _complement_connectivity(g: Graph) -> int:
     return k
 
 
-def check_conditions(g: Graph, cliques: CliqueSet, dim_cap: int = 16) -> ConditionReport:
+def check_conditions(g: Graph, cliques: CliqueSet) -> ConditionReport:
     """Evaluate the coverage, distinguishability, and embedding-dimension conditions.
 
     general_position_dim is order minus the vertex connectivity of the
     complement; it equals the smallest dimension admitting a general-position
-    faithful orthogonal representation over the reals.  Graphs larger than
-    dim_cap report None for it.
+    faithful orthogonal representation over the reals.
     """
-    g0 = _covers_all_vertices(g, cliques)
-    g1 = _pairs_distinguishable(g, cliques)
-    gp = None
-    if g.order <= dim_cap:
-        gp = g.order - _complement_connectivity(g)
-    return ConditionReport(g0, g1, gp)
-
-
-def graph_to_json_str(g: Graph) -> str:
-    return json.dumps(g.to_json(), sort_keys=True)
+    return ConditionReport(
+        _covers_all_vertices(g, cliques),
+        _pairs_distinguishable(g, cliques),
+        g.order - _complement_connectivity(g),
+    )

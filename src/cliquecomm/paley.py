@@ -151,9 +151,7 @@ def extract_vectors(report: GramReport) -> OrthogonalRepresentation:
     if np.any(eigvals < -1e-9):
         raise ConstructionFailedError("Gram matrix is not positive semidefinite")
     keep = eigvals > RANK_TOL
-    vecs = eigvecs[:, keep] * np.sqrt(eigvals[keep])
-    vectors = {v + 1: vecs[v].astype(complex) for v in range(report.q)}
-    return OrthogonalRepresentation(int(keep.sum()), vectors)
+    return OrthogonalRepresentation(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
 
 
 def lovasz_theta(q: int) -> float:

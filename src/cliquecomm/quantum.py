@@ -40,36 +40,53 @@ ORTHO_TOL = 1e-9
 GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
 
 
-@dataclass(frozen=True)
 class OrthogonalRepresentation:
-    """Unit complex vectors, one per vertex, in a common dimension."""
+    """Unit complex vectors in a common dimension d, one per vertex: row
+    v - 1 of the read-only (order, d) matrix `vectors` is vertex v's."""
 
-    d: int
-    vectors: dict
+    def __init__(self, vectors):
+        vectors = np.array(vectors, dtype=complex)
+        if vectors.ndim != 2:
+            raise InvalidParamsError("a representation is one vector per row")
+        vectors.flags.writeable = False
+        self.vectors = vectors
+
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[1]
 
     def vector(self, v: int) -> np.ndarray:
-        return self.vectors[v]
+        return self.vectors[v - 1]
 
     def overlap_sq(self, u: int, v: int) -> float:
-        return float(abs(np.vdot(self.vectors[u], self.vectors[v])) ** 2)
+        return float(abs(np.vdot(self.vector(u), self.vector(v))) ** 2)
 
     def to_json(self) -> dict:
+        pairs = np.stack([self.vectors.real, self.vectors.imag], axis=2).tolist()
         return {
             "schema_version": SCHEMA_VERSION,
             "d": self.d,
-            "vectors": {
-                str(v): [[float(z.real), float(z.imag)] for z in vec]
-                for v, vec in sorted(self.vectors.items())
-            },
+            "vectors": {str(v): vec for v, vec in enumerate(pairs, start=1)},
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "OrthogonalRepresentation":
-        vectors = {
-            int(v): np.array([complex(re, im) for re, im in vec])
-            for v, vec in data["vectors"].items()
-        }
-        return cls(int(data["d"]), vectors)
+        """Raises InvalidParamsError unless the vectors are keyed 1..m and
+        each holds d [re, im] pairs."""
+        d, vectors = int(data["d"]), data["vectors"]
+        m = len(vectors)
+        try:
+            by_vertex = {int(v): vec for v, vec in vectors.items()}
+            rows = [by_vertex[v] for v in range(1, m + 1)]
+            pairs = np.array(rows, dtype=float) if m else np.empty((0, d, 2))
+        except (AttributeError, KeyError, TypeError, ValueError):  # other keys, ragged entries
+            pairs = None
+        if pairs is None or pairs.shape != (m, d, 2):
+            raise InvalidParamsError(
+                f"representation vectors must be keyed 1..{m}, each {d} [re, im] pairs"
+            )
+        # each [re, im] pair is the memory layout of one complex128
+        return cls(pairs.view(complex)[:, :, 0])
 
 
 VIOLATION_KINDS = (None, "edge_not_orthogonal", "nonedge_orthogonal", "duplicate_vector")
@@ -88,19 +105,15 @@ def verify_representation(
 
     Faithfulness means non-adjacent distinct vertices have nonzero overlap;
     vectors equal up to a global phase also fail, since distinct vertices
-    must carry distinct states.
+    must carry distinct states.  A vertex past the last row is missing.
     """
-    violations = []
-    for v in g.vertices:
-        if v not in rep.vectors:
-            violations.append(("missing", v, None, None))
-            continue
-        norm = float(np.linalg.norm(rep.vectors[v]))
-        if abs(norm - 1) > tol:
-            violations.append(("norm", v, None, norm))
+    vecs = rep.vectors[:g.order]
+    norms = np.linalg.norm(vecs, axis=1).tolist()
+    violations = [("norm", v, None, norm) for v, norm in enumerate(norms, start=1)
+                  if abs(norm - 1) > tol]
+    violations += [("missing", v, None, None) for v in range(len(vecs) + 1, g.order + 1)]
     if violations:
         return VerificationReport(False, tuple(violations))
-    vecs = np.array([rep.vectors[v] for v in g.vertices])
     overlap = np.abs(vecs.conj() @ vecs.T) ** 2
     adj = g.adjacency[1:, 1:]
     # 0 for a sound pair, else the index of its kind in VIOLATION_KINDS
@@ -118,7 +131,7 @@ def representation_payoff(rep: OrthogonalRepresentation, g: Graph) -> float:
     nonedge = np.triu(~g.adjacency[1:, 1:], k=1)
     if not nonedge.any():
         return 1.0
-    vecs = np.array([rep.vectors[v] for v in g.vertices])
+    vecs = rep.vectors
     return float((np.abs(vecs @ vecs.conj().T) ** 2)[nonedge].min())
 
 
@@ -168,44 +181,39 @@ def _chain_overlap(g: Graph, cliques: CliqueSet) -> int | None:
     return r if within.diagonal()[1:].all() else None
 
 
-def _pad(vec: np.ndarray, d: int) -> np.ndarray:
-    if len(vec) == d:
-        return vec
-    out = np.zeros(d, dtype=complex)
-    out[: len(vec)] = vec
-    return out
-
-
 def _build_disconnected(g: Graph, cliques: CliqueSet, d: int, attempt: int,
                         rng: np.random.Generator) -> OrthogonalRepresentation:
+    """Clique k gets the columns of u^k, u a generic unitary, in its
+    vertices' rows; the coordinates past omega stay zero."""
     omega = cliques.omega
     if attempt == 0:
         u = _generic_unitary(omega)
     else:
         z = rng.standard_normal((omega, omega)) + 1j * rng.standard_normal((omega, omega))
         u, _ = np.linalg.qr(z)
-    vectors = {}
+    vectors = np.zeros((g.order, d), dtype=complex)
     basis = np.eye(omega, dtype=complex)
-    for k, c in enumerate(cliques.cliques):
+    for k, c in enumerate(np.asarray(cliques.cliques) - 1):
         if k > 0:
             basis = u @ basis
-        for pos, v in enumerate(c):
-            vectors[v] = _pad(basis[:, pos].copy(), d)
-    return OrthogonalRepresentation(d, vectors)
+        vectors[c, :omega] = basis.T
+    return OrthogonalRepresentation(vectors)
 
 
 def _build_chain(g: Graph, cliques: CliqueSet, d: int, attempt: int,
                  rng: np.random.Generator) -> OrthogonalRepresentation:
+    """The first clique gets the standard basis; each later one keeps the
+    vectors of the vertices it shares with earlier cliques and completes
+    them with a generic basis of their orthogonal complement."""
     omega = cliques.omega
-    vectors = {}
-    first = cliques.cliques[0]
-    for pos, v in enumerate(first):
-        vectors[v] = np.eye(omega, dtype=complex)[:, pos]
+    vectors = np.zeros((g.order, d), dtype=complex)
+    placed = np.zeros(g.order, dtype=bool)
+    rows = np.asarray(cliques.cliques) - 1
+    vectors[rows[0], :omega] = np.eye(omega)
+    placed[rows[0]] = True
     for k in range(1, cliques.count):
-        c = cliques.cliques[k]
-        shared = [v for v in c if v in vectors]
-        new = [v for v in c if v not in vectors]
-        span = np.column_stack([vectors[v] for v in shared])
+        shared, new = rows[k][placed[rows[k]]], rows[k][~placed[rows[k]]]
+        span = vectors[shared, :omega].T
         # orthonormal basis of the complement of the shared span
         q, _ = np.linalg.qr(np.column_stack([span, np.eye(omega, dtype=complex)]))
         comp = q[:, len(shared): omega]
@@ -215,10 +223,9 @@ def _build_chain(g: Graph, cliques: CliqueSet, d: int, attempt: int,
         else:
             z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             w, _ = np.linalg.qr(z)
-        fresh = comp @ w
-        for pos, v in enumerate(new):
-            vectors[v] = fresh[:, pos].copy()
-    return OrthogonalRepresentation(d, {v: _pad(vec, d) for v, vec in vectors.items()})
+        vectors[new, :omega] = (comp @ w).T
+        placed[new] = True
+    return OrthogonalRepresentation(vectors)
 
 
 # (beta, mu) stages of the ascent: the soft minimum hardens towards the exact
@@ -280,7 +287,7 @@ def _ascend(vecs: np.ndarray, g: Graph, blocks: np.ndarray | None) -> np.ndarray
     return vecs
 
 
-def _certify(vecs: np.ndarray, g: Graph, d: int) -> list:
+def _certify(vecs: np.ndarray, g: Graph) -> list:
     """Gauss-Seidel polish of a batch's edges, then verification: a certified
     representation or None per batch entry."""
     vecs = vecs.copy()
@@ -299,7 +306,7 @@ def _certify(vecs: np.ndarray, g: Graph, d: int) -> list:
         active &= worst >= 1e-14
         if not active.any():
             break
-    reps = [OrthogonalRepresentation(d, dict(zip(g.vertices, x))) for x in vecs]
+    reps = [OrthogonalRepresentation(x) for x in vecs]
     return [rep if verify_representation(rep, g).ok else None for rep in reps]
 
 
@@ -312,7 +319,7 @@ def _random_starts(seed: int, count: int, order: int, d: int) -> list:
 def _build_by_ascent(g: Graph, d: int, seed: int) -> OrthogonalRepresentation:
     """The first of ATTEMPTS random starts, ascended as one batch, that certifies."""
     starts = np.array(_random_starts(seed, ATTEMPTS, g.order, d))
-    for rep in _certify(_ascend(starts, g, None), g, d):
+    for rep in _certify(_ascend(starts, g, None), g):
         if rep is not None:
             return rep
     raise ConstructionFailedError("numeric search found no certified representation")
@@ -403,7 +410,7 @@ def quantum_table(strategy: QuantumStrategy, rel: Relation,
     n, omega = cliques.count, cliques.omega
     size = n * omega
     # one row per slot: the vector of the vertex that slot selects
-    u = np.array([strategy.rep.vector(v) for v in selected_vertices(cliques).tolist()])
+    u = strategy.rep.vectors[selected_vertices(cliques) - 1]
     entries = np.clip(np.abs(u.conj() @ u.T) ** 2, 0.0, 1.0)
     blocks = entries.reshape(size, n, omega)
     residual = 1.0 - blocks.sum(axis=2)
@@ -458,11 +465,12 @@ def optimize_payoff(
     if not starts and (partitioned or _chain_overlap(g, cliques) is not None):
         # elsewhere the constructed start is one of the random starts below
         starts.append(build_representation(g, cliques, d, seed=seed))
-    starts = [rep for rep in starts if rep.d == d and verify_representation(rep, g).ok]
-    vecs = [np.array([rep.vectors[v] for v in g.vertices]) for rep in starts]
+    starts = [rep for rep in starts
+              if rep.vectors.shape == (g.order, d) and verify_representation(rep, g).ok]
+    vecs = [rep.vectors for rep in starts]
     vecs += _random_starts(seed, restarts, g.order, d)
     blocks = np.asarray(cliques.cliques) - 1 if partitioned else None
-    ends = _certify(_ascend(np.array(vecs), g, blocks), g, d) if vecs else []
+    ends = _certify(_ascend(np.array(vecs), g, blocks), g) if vecs else []
     candidates = starts + [rep for rep in ends if rep is not None]
     if not candidates:
         raise ConstructionFailedError("no restart produced a certified representation")

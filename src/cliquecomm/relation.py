@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InconsistentRelationError, InvalidParamsError
-from .graphs import SCHEMA_VERSION, CliqueSet, Graph, clique_membership
+from .graphs import SCHEMA_VERSION, CliqueSet, Graph
 
 
 def label_to_colouring(clique: tuple[int, ...], a: int) -> dict[int, int]:
@@ -34,12 +34,6 @@ def colouring_to_label(clique: tuple[int, ...], colouring: dict[int, int]) -> in
     if len(ones) != 1:
         raise InvalidParamsError("colouring must assign 1 to exactly one clique vertex")
     return ones[0]
-
-
-def selected_vertex(clique: tuple[int, ...], a: int) -> int:
-    if not 0 <= a < len(clique):
-        raise InvalidParamsError(f"label {a} out of range")
-    return clique[a]
 
 
 def slot_index(omega: int, x, a):
@@ -80,18 +74,15 @@ def labels_consistent(
 ) -> bool:
     """Whether labelling clique x with a and clique y with b is consistent.
 
-    Reduces to a condition on the two selected vertices: either they are the
-    same vertex, or they are non-adjacent and neither lies inside the other
-    party's clique (a selected vertex inside both cliques forces the other
-    party's choice through the shared-colour rule).
+    Reduces to a condition on the two selected vertices: they are the same
+    vertex or they are not adjacent, which is one test since no vertex is
+    adjacent to itself.  A selected vertex inside the other party's clique
+    is adjacent to every other vertex there, so the shared-colour rule
+    needs no clause of its own.
     """
-    cx, cy = cliques.clique(x), cliques.clique(y)
-    va, vb = selected_vertex(cx, a), selected_vertex(cy, b)
-    if va == vb:
-        return True
-    if va in cy or vb in cx:
-        return False
-    return not g.adjacent(va, vb)
+    if not (0 <= a < cliques.omega and 0 <= b < cliques.omega):
+        raise InvalidParamsError(f"label out of range for clique size {cliques.omega}")
+    return not g.adjacent(cliques.clique(x)[a], cliques.clique(y)[b])
 
 
 class Relation:
@@ -178,14 +169,6 @@ class Relation:
         block = self.mask[r, start:start + self.omega]
         return tuple(np.flatnonzero(block).tolist())
 
-    def row_support(self, x: int, a: int) -> frozenset[tuple[int, int]]:
-        """The set of (y, b) the input (x, a) can be followed by."""
-        r = self._slot(x, a)
-        if r is None:
-            return frozenset()
-        cols = np.flatnonzero(self.mask[r]).tolist()
-        return frozenset(slot_label(self.omega, c) for c in cols)
-
     def max_valid_outputs(self) -> int:
         """Largest number of admissible outputs over all input triples."""
         return int(self.output_counts().max())
@@ -207,19 +190,15 @@ def build_relation(g: Graph, cliques: CliqueSet) -> Relation:
     """Every consistent tuple over the given maximum cliques, as a mask.
 
     The rule of `labels_consistent` applied to all slot pairs at once: the
-    two selected vertices are equal, or neither lies in the other slot's
-    clique and they are not adjacent.  Raises if some input triple admits
-    no output at all; the games here are only defined for relations that
-    are total over the input set.
+    vertex-level matrix I | ~A (equal or non-adjacent vertices), which is
+    ~A as A has a false diagonal, gathered through the vertex each slot
+    selects.  Raises if some input triple admits no output at all; the
+    games here are only defined for relations that are total over the
+    input set.
     """
     n, omega = cliques.count, cliques.omega
-    selected = selected_vertices(cliques)
-    # in_clique[s, t]: the vertex slot t selects lies in slot s's clique
-    member = clique_membership(cliques, g.order)
-    in_clique = member[np.repeat(np.arange(n), omega)][:, selected]
-    mask = (selected[:, None] == selected[None, :]) | ~(
-        in_clique | in_clique.T | g.adjacency[np.ix_(selected, selected)]
-    )
+    sel = selected_vertices(cliques)
+    mask = ~g.adjacency[np.ix_(sel, sel)]
     rel = Relation.from_mask(n, omega, mask)
     empty = np.argwhere(rel.output_counts() == 0)
     if len(empty):

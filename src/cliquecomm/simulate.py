@@ -32,6 +32,7 @@ from .relation import Relation, four_int_rows, infer_graph, slot_index
 from .tables import ProbTable, check_coverage
 
 GENERATOR = "pcg64"
+EXACT_TUPLE_CAP = 20  # relation size past which success_prob_exact refuses
 
 
 class RunLog:
@@ -43,32 +44,34 @@ class RunLog:
     lists; `RunLog.from_array` takes the array as given.
     """
 
-    def __init__(self, rounds, k: int, seed: int, generator: str = GENERATOR):
-        self._init(four_int_rows(rounds, "rounds"), k, seed, generator)
+    generator = GENERATOR
+
+    def __init__(self, rounds, k: int, seed: int):
+        self._init(four_int_rows(rounds, "rounds"), k, seed)
 
     @classmethod
     def from_array(cls, array: np.ndarray, seed: int) -> "RunLog":
         log = cls.__new__(cls)
-        log._init(np.array(array, dtype=np.int64), len(array), seed, GENERATOR)
+        log._init(np.array(array, dtype=np.int64), len(array), seed)
         return log
 
-    def _init(self, array: np.ndarray, k: int, seed: int, generator: str):
+    def _init(self, array: np.ndarray, k: int, seed: int):
         if array.ndim != 2 or array.shape[1] != 4:
             raise InvalidParamsError("a run log holds one (x, a, y, b) row per round")
         if int(k) != len(array):
             raise InvalidParamsError(f"k={k} but the log holds {len(array)} rounds")
         array.flags.writeable = False
-        self.array, self.k, self.seed, self.generator = array, int(k), seed, generator
+        self.array, self.k, self.seed = array, int(k), seed
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RunLog)
-            and (self.k, self.seed, self.generator) == (other.k, other.seed, other.generator)
+            and (self.k, self.seed) == (other.k, other.seed)
             and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self) -> int:
-        return hash((self.k, self.seed, self.generator, self.array.tobytes()))
+        return hash((self.k, self.seed, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"RunLog(k={self.k}, seed={self.seed}, generator={self.generator!r})"
@@ -178,8 +181,7 @@ def tuple_probabilities(table: ProbTable, rel: Relation) -> np.ndarray:
     return table.as_float()[rel.mask] * input_p
 
 
-def success_prob_exact(table: ProbTable, rel: Relation, k: int,
-                       max_tuples: int = 20) -> float:
+def success_prob_exact(table: ProbTable, rel: Relation, k: int) -> float:
     """Exact probability that k rounds reveal every admissible tuple.
 
     Inclusion-exclusion over subsets S of the relation: sum of
@@ -187,9 +189,9 @@ def success_prob_exact(table: ProbTable, rel: Relation, k: int,
     the moment any admissible tuple has probability zero, since it can then
     never be observed.
     """
-    if rel.size > max_tuples:
+    if rel.size > EXACT_TUPLE_CAP:
         raise CapExceededError(
-            f"{rel.size} tuples exceed inclusion-exclusion cap {max_tuples}"
+            f"{rel.size} tuples exceed inclusion-exclusion cap {EXACT_TUPLE_CAP}"
         )
     ok, _ = check_coverage(table, rel)
     if not ok:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph
-from .relation import Relation, build_relation, selected_vertex, slot_index, slot_label
+from .relation import Relation, build_relation, selected_vertices, slot_index, slot_label
 
 ZERO_TOL = 1e-9
 
@@ -318,28 +318,19 @@ def compress_rows(table: ProbTable, g: Graph, cliques: CliqueSet) -> CompressedT
     ok, violations = check_consistency(table, rel)
     if not ok:
         raise InvalidParamsError(f"table violates consistency at {violations[0]}")
-    by_vertex: dict[int, tuple] = {}
-    row_to_message = {}
-    order: list[int] = []
-    for x, a in table.rows():
-        v = selected_vertex(cliques.clique(x), a)
-        row = tuple(table.entries[table.row_index(x, a)])
-        if v in by_vertex:
-            if by_vertex[v] != row:
-                raise InvalidParamsError(
-                    f"rows selecting vertex {v} differ; cannot merge"
-                )
-        else:
-            by_vertex[v] = row
-            order.append(v)
-        row_to_message[(x, a)] = None
-    vertices = tuple(sorted(order))
-    index = {v: i for i, v in enumerate(vertices)}
-    for x, a in table.rows():
-        v = selected_vertex(cliques.clique(x), a)
-        row_to_message[(x, a)] = index[v]
-    entries = tuple(by_vertex[v] for v in vertices)
-    return CompressedTable(vertices, row_to_message, entries)
+    sel = selected_vertices(cliques)
+    vertices, first, message = np.unique(sel, return_index=True, return_inverse=True)
+    values = table.num if table.kind == "exact" else table.entries
+    differ = np.flatnonzero((values != values[first[message]]).any(axis=1))
+    if len(differ):
+        raise InvalidParamsError(
+            f"rows selecting vertex {sel[differ[0]]} differ; cannot merge"
+        )
+    return CompressedTable(
+        tuple(vertices.tolist()),
+        dict(zip(table.rows(), message.tolist())),
+        tuple(tuple(table.entries[r]) for r in first.tolist()),
+    )
 
 
 def _require_match(table: ProbTable, rel: Relation):

@@ -24,11 +24,12 @@ from cliquecomm import (
     InconsistentRelationError,
     InvalidParamsError,
     Relation,
+    build_relation,
     labels_consistent,
 )
-from cliquecomm.quantum import ORTHO_TOL
+from cliquecomm.quantum import ORTHO_TOL, _generic_unitary
 from cliquecomm.simulate import ReconstructionResult
-from cliquecomm.tables import ZERO_TOL
+from cliquecomm.tables import ZERO_TOL, CompressedTable
 
 
 def relation_tuples(g, cliques):
@@ -439,10 +440,10 @@ def verify_representation(rep, g, tol=ORTHO_TOL):
     """(ok, violations), one vdot per vertex pair in row-major order."""
     violations = []
     for v in g.vertices:
-        if v not in rep.vectors:
+        if v > len(rep.vectors):
             violations.append(("missing", v, None, None))
             continue
-        norm = float(np.linalg.norm(rep.vectors[v]))
+        norm = float(np.linalg.norm(rep.vector(v)))
         if abs(norm - 1) > tol:
             violations.append(("norm", v, None, norm))
     if violations:
@@ -468,6 +469,84 @@ def representation_payoff(rep, g):
         if not g.adjacent(u, v)
     ]
     return min(values) if values else 1.0
+
+
+def _pad(vec, d):
+    if len(vec) == d:
+        return vec
+    out = np.zeros(d, dtype=complex)
+    out[: len(vec)] = vec
+    return out
+
+
+def build_disconnected(g, cliques, d, attempt, rng):
+    """{vertex: vector}: clique k's vertices take the columns of u^k, one
+    vertex at a time, padded to d."""
+    omega = cliques.omega
+    if attempt == 0:
+        u = _generic_unitary(omega)
+    else:
+        z = rng.standard_normal((omega, omega)) + 1j * rng.standard_normal((omega, omega))
+        u, _ = np.linalg.qr(z)
+    vectors = {}
+    basis = np.eye(omega, dtype=complex)
+    for k, c in enumerate(cliques.cliques):
+        if k > 0:
+            basis = u @ basis
+        for pos, v in enumerate(c):
+            vectors[v] = _pad(basis[:, pos].copy(), d)
+    return vectors
+
+
+def build_chain(g, cliques, d, attempt, rng):
+    """{vertex: vector}: each clique past the first keeps its shared
+    vertices' vectors and completes them inside their orthogonal
+    complement, one vertex at a time, padded to d."""
+    omega = cliques.omega
+    vectors = {}
+    first = cliques.cliques[0]
+    for pos, v in enumerate(first):
+        vectors[v] = np.eye(omega, dtype=complex)[:, pos]
+    for k in range(1, cliques.count):
+        c = cliques.cliques[k]
+        shared = [v for v in c if v in vectors]
+        new = [v for v in c if v not in vectors]
+        span = np.column_stack([vectors[v] for v in shared])
+        q, _ = np.linalg.qr(np.column_stack([span, np.eye(omega, dtype=complex)]))
+        comp = q[:, len(shared): omega]
+        dim = comp.shape[1]
+        if attempt == 0:
+            w = _generic_unitary(dim, offset=7 * k)
+        else:
+            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            w, _ = np.linalg.qr(z)
+        fresh = comp @ w
+        for pos, v in enumerate(new):
+            vectors[v] = fresh[:, pos].copy()
+    return {v: _pad(vec, d) for v, vec in vectors.items()}
+
+
+def compress_rows(table, g, cliques):
+    """Rows merged slot by slot into a dict keyed by the selected vertex."""
+    rel = build_relation(g, cliques)
+    ok, violations = check_consistency(table, rel)
+    if not ok:
+        raise InvalidParamsError(f"table violates consistency at {violations[0]}")
+    by_vertex = {}
+    order = []
+    for x, a in table.rows():
+        v = cliques.clique(x)[a]
+        row = tuple(table.entries[table.row_index(x, a)])
+        if v in by_vertex:
+            if by_vertex[v] != row:
+                raise InvalidParamsError(f"rows selecting vertex {v} differ; cannot merge")
+        else:
+            by_vertex[v] = row
+            order.append(v)
+    vertices = tuple(sorted(order))
+    index = {v: i for i, v in enumerate(vertices)}
+    row_to_message = {(x, a): index[cliques.clique(x)[a]] for x, a in table.rows()}
+    return CompressedTable(vertices, row_to_message, tuple(by_vertex[v] for v in vertices))
 
 
 def assignment_search(rel, find_all, limit=None):

@@ -181,7 +181,7 @@ def assert_round_trip(g, cliques, rel):
 def test_infer_graph_matches_loop_and_round_trips(g):
     g, cliques, rel = instance(g)
     check_infer(rel)
-    if check_conditions(g, cliques, dim_cap=0).reconstruction_ready:
+    if check_conditions(g, cliques).reconstruction_ready:
         assert_round_trip(g, cliques, rel)
 
 

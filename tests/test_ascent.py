@@ -71,7 +71,7 @@ def test_gradient_matches_central_differences(g, d, seed):
 def test_payoff_reduction_matches_pair_loop(g, d, seed):
     rng = np.random.default_rng(seed)
     vecs = unit_rows(rng.standard_normal((g.order, d)) + 1j * rng.standard_normal((g.order, d)))
-    rep = OrthogonalRepresentation(d, dict(zip(g.vertices, vecs)))
+    rep = OrthogonalRepresentation(vecs)
     assert representation_payoff(rep, g) == pytest.approx(
         oracle.representation_payoff(rep, g), rel=0, abs=OVERLAP_TOL)
 

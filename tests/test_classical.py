@@ -137,8 +137,7 @@ def test_sccr_requires_coverage():
 
 
 def test_sccr_skips_the_connectivity_search(monkeypatch):
-    # sccr reads only G0 and G1; p13 is small enough that the default cap
-    # of check_conditions would run the search
+    # sccr reads only G0 and G1, so it runs no connectivity search
     from cliquecomm import graphs
 
     def fail(g):

@@ -36,8 +36,7 @@ def test_graph_gen_paley_and_check(tmp_path, capsys):
 
 
 def test_graph_check_reports_g2_past_the_library_cap(tmp_path, capsys):
-    # check_conditions leaves G2 out past 16 vertices by default; the
-    # command always reports it
+    # G2 past 16 vertices, where check_conditions once left it out
     out = tmp_path / "p17.json"
     run_cli(capsys, "graph", "gen", "--family", "paley", "--q", "17", "--out", str(out))
     code, text = run_cli(capsys, "graph", "check", "--in", str(out))

@@ -83,7 +83,7 @@ def test_failed_construction_exits_8(tmp_path, capsys):
 
 def test_unverified_representation_exits_9(tmp_path, capsys, monkeypatch):
     g = write(tmp_path, "g.json", {"order": 2, "edges": [[1, 2]]})
-    parallel = OrthogonalRepresentation(2, {1: np.array([1, 0j]), 2: np.array([1, 0j])})
+    parallel = OrthogonalRepresentation(np.array([[1, 0j], [1, 0j]]))
     monkeypatch.setattr(cli, "build_representation", lambda *args, **kwargs: parallel)
     code, err = run(capsys, "quantum", "table", "--in", g)
     assert code == 9 and err.startswith("unverified representation:")

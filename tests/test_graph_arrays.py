@@ -124,15 +124,16 @@ def representations(draw):
     g = draw(graphs(max_order=8))
     d = draw(st.integers(1, 3))
     choices = palette(d)
-    vectors = {v: choices[draw(st.integers(0, len(choices) - 1))] for v in g.vertices}
+    vectors = np.array([choices[draw(st.integers(0, len(choices) - 1))]
+                        for _ in g.vertices]).reshape(g.order, d)
     damage = draw(st.sampled_from(["none", "none", "missing", "norm"]))
     if damage != "none" and g.order:
         v = draw(st.integers(1, g.order))
         if damage == "missing":
-            del vectors[v]
+            vectors = vectors[:v - 1]  # vertices v.. have no row
         else:
-            vectors[v] = 2 * vectors[v]
-    return OrthogonalRepresentation(d, vectors), g
+            vectors[v - 1] *= 2
+    return OrthogonalRepresentation(vectors), g
 
 
 @PROPERTY
@@ -152,7 +153,7 @@ def test_verification_matches_pair_loop_on_families(family):
     assert assert_same_verification(rep, g).ok
     # vertex 1's vector on vertex 2 too: a duplicate, or an edge that is
     # not orthogonal, plus whatever vertex 2's old pairs become
-    vectors = dict(rep.vectors)
-    vectors[2] = vectors[1]
-    report = assert_same_verification(OrthogonalRepresentation(rep.d, vectors), g)
+    vectors = rep.vectors.copy()
+    vectors[1] = vectors[0]
+    report = assert_same_verification(OrthogonalRepresentation(vectors), g)
     assert not report.ok and report.violations[0][1:3] == (1, 2)

@@ -188,7 +188,7 @@ def test_g1_matches_triple_loop_oracle():
         graphs.append(Graph(nv, edges))
     for g in graphs:
         cliques = enumerate_maximum_cliques(g)
-        rep = check_conditions(g, cliques, dim_cap=0)
+        rep = check_conditions(g, cliques)
         assert rep.pairs_distinguishable == g1_oracle(g, cliques), g
 
 
@@ -204,9 +204,7 @@ def test_general_position_dimension():
 
 def test_general_position_dim_cap():
     p17 = gen_paley(17)
-    rep = check_conditions(p17, enumerate_maximum_cliques(p17), dim_cap=16)
-    assert rep.general_position_dim is None
-    rep = check_conditions(p17, enumerate_maximum_cliques(p17), dim_cap=17)
+    rep = check_conditions(p17, enumerate_maximum_cliques(p17))
     assert rep.general_position_dim == 9
 
 

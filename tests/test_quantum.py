@@ -43,24 +43,18 @@ def setup_graph(g):
 
 def zx_representation():
     """Two disjoint edges carried by the computational and Hadamard bases."""
-    return OrthogonalRepresentation(2, {
-        1: Z[:, 0], 2: Z[:, 1], 3: X[:, 0], 4: X[:, 1],
-    })
+    return OrthogonalRepresentation([Z[:, 0], Z[:, 1], X[:, 0], X[:, 1]])
 
 
 def test_standard_basis_on_clique_is_faithful():
     g, cliques, _ = setup_graph(gen_disconnected(1, 4))
-    rep = OrthogonalRepresentation(4, {
-        v: np.eye(4, dtype=complex)[:, v - 1] for v in g.vertices
-    })
+    rep = OrthogonalRepresentation(np.eye(4, dtype=complex))
     assert verify_representation(rep, g).ok
 
 
 def test_duplicate_bases_are_not_faithful():
     g = gen_disconnected(2, 2)
-    rep = OrthogonalRepresentation(2, {
-        1: Z[:, 0], 2: Z[:, 1], 3: Z[:, 0], 4: Z[:, 1],
-    })
+    rep = OrthogonalRepresentation([Z[:, 0], Z[:, 1], Z[:, 0], Z[:, 1]])
     report = verify_representation(rep, g)
     assert not report.ok
     kinds = {v[0] for v in report.violations}
@@ -121,7 +115,7 @@ def test_build_representation_shares_vertex_vector(chain5):
     rep = build_representation(g, cliques)
     # vertex 3 sits in both cliques; its single vector serves both bases
     assert verify_representation(rep, g).ok
-    assert rep.vector(3) is rep.vectors[3]
+    assert rep.vectors.shape == (g.order, 3)
     for other in (1, 2):
         assert rep.overlap_sq(3, other) == pytest.approx(0.0, abs=1e-18)
 
@@ -136,9 +130,7 @@ def test_build_representation_fallback_path():
 
 def test_quantum_table_requires_verified_strategy():
     g, cliques, rel = setup_graph(gen_disconnected(2, 2))
-    rep = OrthogonalRepresentation(2, {
-        1: Z[:, 0], 2: Z[:, 1], 3: Z[:, 0], 4: Z[:, 1],
-    })
+    rep = OrthogonalRepresentation([Z[:, 0], Z[:, 1], Z[:, 0], Z[:, 1]])
     with pytest.raises(UnverifiedRepresentationError):
         QuantumStrategy.create(rep, g, cliques)
     unverified = QuantumStrategy(rep, cliques, verified=False)
@@ -153,9 +145,7 @@ def test_coverage_fails_without_faithfulness():
     theta = 0.0  # second basis equals the first
     basis2 = np.array([[math.cos(theta), -math.sin(theta)],
                        [math.sin(theta), math.cos(theta)]], dtype=complex)
-    rep = OrthogonalRepresentation(2, {
-        1: Z[:, 0], 2: Z[:, 1], 3: basis2[:, 0], 4: basis2[:, 1],
-    })
+    rep = OrthogonalRepresentation([Z[:, 0], Z[:, 1], basis2[:, 0], basis2[:, 1]])
     forced = QuantumStrategy(rep, cliques, verified=True)
     t = quantum_table(forced, rel)
     assert check_consistency(t, rel)[0]
@@ -203,9 +193,7 @@ def test_check_mub_pairs():
 
 def test_detect_mub_on_three_cliques():
     g, cliques, rel = setup_graph(gen_disconnected(3, 2))
-    rep = OrthogonalRepresentation(2, {
-        1: Z[:, 0], 2: Z[:, 1], 3: X[:, 0], 4: X[:, 1], 5: Y[:, 0], 6: Y[:, 1],
-    })
+    rep = OrthogonalRepresentation([Z[:, 0], Z[:, 1], X[:, 0], X[:, 1], Y[:, 0], Y[:, 1]])
     t = quantum_table(QuantumStrategy.create(rep, g, cliques), rel)
     assert detect_mub(t, rel, g, cliques)
 
@@ -215,16 +203,14 @@ def test_detect_mub_rejects_biased_bases():
     theta = math.pi / 5  # not the unbiased angle pi/4
     basis2 = np.array([[math.cos(theta), -math.sin(theta)],
                        [math.sin(theta), math.cos(theta)]], dtype=complex)
-    rep = OrthogonalRepresentation(2, {
-        1: Z[:, 0], 2: Z[:, 1], 3: basis2[:, 0], 4: basis2[:, 1],
-    })
+    rep = OrthogonalRepresentation([Z[:, 0], Z[:, 1], basis2[:, 0], basis2[:, 1]])
     t = quantum_table(QuantumStrategy.create(rep, g, cliques), rel)
     assert not detect_mub(t, rel, g, cliques)
 
 
 def test_detect_mub_single_clique_trivial():
     g, cliques, rel = setup_graph(gen_disconnected(1, 2))
-    rep = OrthogonalRepresentation(2, {1: Z[:, 0], 2: Z[:, 1]})
+    rep = OrthogonalRepresentation([Z[:, 0], Z[:, 1]])
     t = quantum_table(QuantumStrategy.create(rep, g, cliques), rel)
     assert detect_mub(t, rel, g, cliques)
 

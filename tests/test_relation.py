@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -42,6 +43,14 @@ def test_consistency_matches_rule_oracle(chain5):
     # instance where the no-adjacent-ones rule bites on non-shared vertices
     bridged = Graph(6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (3, 4)])
     cases.append((bridged, enumerate_maximum_cliques(bridged)))
+    # random graphs, where selected vertices also lie in the other clique
+    # without the two cliques forming a chain
+    rng = random.Random(3)
+    for _ in range(60):
+        order = rng.randint(1, 8)
+        g = Graph(order, [e for e in itertools.combinations(range(1, order + 1), 2)
+                          if rng.random() < 0.5])
+        cases.append((g, enumerate_maximum_cliques(g)))
     for g, cliques in cases:
         n, omega = cliques.count, cliques.omega
         for x, y in itertools.product(range(1, n + 1), repeat=2):
