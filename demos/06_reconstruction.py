@@ -3,8 +3,9 @@
 
 The observer's estimate is just the support of the observed tuples; success
 means seeing every admissible tuple (and every input at least once).  The
-exact success probability after k rounds is an inclusion-exclusion sum, a
-coupon-collector with unequal coupons, checked here against Monte Carlo.
+exact success probability after k rounds is a coupon-collector probability
+with unequal coupons, read off its Poissonized generating function and
+checked here against Monte Carlo.
 A table with exact zeros outside the relation also doubles as a dimension
 witness for the message system.
 """

@@ -259,7 +259,10 @@ def cmd_simulate(args) -> None:
         log = simulate_rounds(table, args.k, args.seed)
         _emit_text(args, log.to_csv())
         return
-    k_grid = [int(k) for k in args.k_grid.split(",")]
+    try:
+        k_grid = [int(k) for k in args.k_grid.split(",")]
+    except ValueError:
+        raise InvalidParamsError(f"--k-grid {args.k_grid!r} is not a list of integers") from None
     rows = payoff_vs_rounds_report(table, rel, k_grid)
     mc_rows = None
     if args.trials:

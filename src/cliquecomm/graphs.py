@@ -94,7 +94,12 @@ class Graph:
 
     @classmethod
     def from_json(cls, data: dict) -> "Graph":
-        return cls(int(data["order"]), [tuple(e) for e in data["edges"]])
+        try:
+            order = int(data["order"])
+            edges = [(int(u), int(v)) for u, v in data["edges"]]
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(f"malformed graph: {exc}") from None
+        return cls(order, edges)
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,23 @@
 
 Inputs (C_x, a, C_y) are drawn uniformly each round and Bob's output is
 sampled from the strategy table, so any zero-error table only ever produces
-admissible tuples and the observed support grows towards the relation.  The
-exact probability that k rounds have shown every admissible tuple at least
-once is the inclusion-exclusion sum over tuple subsets, a coupon-collector
-computation with unequal coupon probabilities.
+admissible tuples and the observed support grows towards the relation.
+
+The probability that k rounds have shown every admissible tuple at least
+once is a coupon-collector probability with unequal coupons.  With tuple
+probabilities p_i and S = sum p_i (a round that lands outside the relation
+shows no tuple), it is the Poissonized generating function of Flajolet,
+Gardy and Thimonier (1992):
+
+    P(T <= k) = k! [t^k] e^((1 - S) t) prod_i (e^(p_i t) - 1).
+
+Substituting t = k u and scaling each factor by e^(-k * its mass) turns
+every factor into a vector of Poisson pmfs: lambda = k p_i with its zero
+term dropped, and lambda = k (1 - S) for the missing mass.  Equal p_i are
+grouped and each group raised to its count by repeated squaring, with FFT
+products truncated at degree k; coefficient k of the product over the
+Poisson(k) pmf at k is the probability.  Every term is nonnegative, so
+nothing cancels.
 
 `simulate_rounds` and `mc_success_rate` share one inverse-CDF sampler.  It
 takes the cumulative sums of every (row, y) block of the table once per
@@ -22,17 +35,20 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import CapExceededError, InconsistentRelationError, InvalidParamsError
+from .errors import InconsistentRelationError, InvalidParamsError
 from .relation import Relation, four_int_rows, infer_graph, slot_index
 from .tables import ProbTable, check_coverage
 
 GENERATOR = "pcg64"
-EXACT_TUPLE_CAP = 20  # relation size past which success_prob_exact refuses
+# the Stirling series of log j! - ((j + 1/2) log j - j + log(2 pi) / 2):
+# 1/(12 j) - 1/(360 j^3) + 1/(1260 j^5) - 1/(1680 j^7) + 1/(1188 j^9)
+STIRLING_SERIES = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
 
 
 class RunLog:
@@ -181,28 +197,79 @@ def tuple_probabilities(table: ProbTable, rel: Relation) -> np.ndarray:
     return table.as_float()[rel.mask] * input_p
 
 
-def success_prob_exact(table: ProbTable, rel: Relation, k: int) -> float:
-    """Exact probability that k rounds reveal every admissible tuple.
+def _log_norm(j: np.ndarray) -> np.ndarray:
+    """log j! - (j log j - j) at j = 1, 2, ...: from lgamma below 16, and as
+    log(2 pi j)/2 plus the Stirling series above (Loader, 2000).  The
+    Poisson(lam) pmf at j is exp(j log(lam / j) + j - lam - log_norm), so no
+    term of size j log j is formed and no digits cancel as j grows."""
+    series = np.zeros(len(j))
+    for c in reversed(STIRLING_SERIES):
+        series = c - series / (j * j)
+    out = 0.5 * np.log(2 * np.pi * j) + series / j
+    small = j[j < 16].tolist()
+    out[:len(small)] = [math.lgamma(x + 1) - x * math.log(x) + x for x in small]
+    return out
 
-    Inclusion-exclusion over subsets S of the relation: sum of
-    (-1)^|S| (1 - p(S))^k with p(S) the chance a round lands in S.  Zero
-    the moment any admissible tuple has probability zero, since it can then
-    never be observed.
+
+def _truncated_product(a: np.ndarray, b: np.ndarray, fft_len: int) -> np.ndarray:
+    """Coefficients 0..len(a)-1 of the product of two nonnegative series,
+    through FFTs of a length past both degrees; round-off below 0 is clipped."""
+    fa = np.fft.rfft(a, fft_len)
+    fb = fa if b is a else np.fft.rfft(b, fft_len)
+    return np.maximum(np.fft.irfft(fa * fb, fft_len)[:len(a)], 0.0)
+
+
+def _power(series: np.ndarray, count: int, fft_len: int) -> np.ndarray:
+    """series ** count, truncated, by repeated squaring."""
+    result = None
+    while True:
+        if count & 1:
+            result = series if result is None else _truncated_product(result, series, fft_len)
+        count >>= 1
+        if not count:
+            return result
+        series = _truncated_product(series, series, fft_len)
+
+
+def success_prob_exact(table: ProbTable, rel: Relation, k: int) -> float:
+    """Probability that k rounds reveal every admissible tuple.
+
+    The coupon-collector generating function of the module docstring,
+    evaluated as a product of truncated Poisson pmf vectors over the
+    distinct tuple probabilities.  Zero when k < |R| (k rounds show at most
+    k tuples) or when some admissible tuple has probability zero; one once
+    the union bound sum_i (1 - p_i)^k on the failure probability is below
+    2^-55, so that P rounds to 1 in double precision.
     """
-    if rel.size > EXACT_TUPLE_CAP:
-        raise CapExceededError(
-            f"{rel.size} tuples exceed inclusion-exclusion cap {EXACT_TUPLE_CAP}"
-        )
-    ok, _ = check_coverage(table, rel)
-    if not ok:
+    if k < 0:
+        raise InvalidParamsError("k must be nonnegative")
+    if k < rel.size or not check_coverage(table, rel)[0]:
         return 0.0
     probs = tuple_probabilities(table, rel)
-    sums = np.zeros(1)
-    signs = np.ones(1)
-    for p in probs:
-        sums = np.concatenate([sums, sums + p])
-        signs = np.concatenate([signs, -signs])
-    value = float(np.sum(signs * (1.0 - sums) ** k))
+    values, counts = np.unique(probs, return_counts=True)
+    if counts @ (1.0 - values) ** k < 2.0 ** -55:
+        return 1.0
+    j = np.arange(1, k + 1, dtype=float)
+    log_norm = _log_norm(j)
+
+    def poisson_pmf(lam):  # at 0..k
+        positive = np.exp(j * np.log(lam / j) + (j - lam) - log_norm)
+        return np.concatenate(([math.exp(-lam)], positive))
+
+    fft_len = 1 << int(2 * k).bit_length()
+    factors = []
+    for lam, count in zip((k * values).tolist(), counts.tolist()):
+        pmf = poisson_pmf(lam)
+        pmf[0] = 0.0  # e^(p t) - 1: every tuple shows at least once
+        factors.append(_power(pmf, count, fft_len))
+    missing = 1.0 - math.fsum(probs)
+    if missing > 0:
+        factors.append(poisson_pmf(k * missing))
+    product = factors[0]
+    for factor in factors[1:]:
+        product = _truncated_product(product, factor, fft_len)
+    # k! [t^k] = e^k k! k^-k [u^k] after t = k u: divide by Poisson(k) at k
+    value = product[k] * math.exp(log_norm[-1])
     return min(max(value, 0.0), 1.0)
 
 
@@ -213,6 +280,10 @@ def mc_success_rate(table: ProbTable, rel: Relation, k: int, trials: int,
     round) arrays.  Without drawing, the rate is 0 when k < |R| (k rounds
     show at most k tuples) or when the table gives some admissible tuple
     probability zero, as in `success_prob_exact`."""
+    if k < 0:
+        raise InvalidParamsError("k must be nonnegative")
+    if trials < 1:
+        raise InvalidParamsError("trials must be positive")
     if k < rel.size or not check_coverage(table, rel)[0]:
         rate = 0.0
     else:

@@ -121,6 +121,8 @@ class ProbTable:
         n, omega = self.n, self.omega
         size = n * omega
         values, one = (self.num, self.den) if self.kind == "exact" else (self.entries, 1)
+        if self.kind == "float" and not np.isfinite(values).all():
+            raise InvalidParamsError("entries must be finite")
         blocks = values.reshape(size, n, omega)
         out_of_range = ((blocks < 0) | (blocks > one)).any(axis=2)
         totals = blocks.sum(axis=2)
@@ -201,12 +203,16 @@ class ProbTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "ProbTable":
-        kind = data["kind"]
-        if kind == "exact":
-            entries = [[Fraction(e) for e in row] for row in data["entries"]]
-        else:
-            entries = data["entries"]
-        return cls(int(data["n"]), int(data["omega"]), entries, kind=kind,
+        try:
+            n, omega = int(data["n"]), int(data["omega"])
+            kind, entries = data["kind"], data["entries"]
+            if kind == "exact":
+                entries = [[Fraction(e) for e in row] for row in entries]
+            else:
+                entries = np.asarray(entries, dtype=float)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidParamsError(f"malformed table: {exc}") from None
+        return cls(n, omega, entries, kind=kind,
                    subnormalized=bool(data.get("subnormalized", False)))
 
 

@@ -15,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -297,6 +298,55 @@ def mc_success_rate(table, rel, k, trials, seed, chunk=512):
     rate = successes / trials
     stderr = float(np.sqrt(max(rate * (1 - rate), 1e-12) / trials))
     return rate, stderr
+
+
+def success_terms(table, rel):
+    """Distinct tuple probabilities with their counts, each as an exact
+    Fraction (a float entry's Fraction is the float's exact value), and
+    the number of terms of their grouped inclusion-exclusion."""
+    input_p = Fraction(1, rel.n * rel.n * rel.omega)
+    counts = {}
+    for t in rel.tuples:
+        p = Fraction(table.prob(*t)) * input_p
+        counts[p] = counts.get(p, 0) + 1
+    terms = 1
+    for c in counts.values():
+        terms *= c + 1
+    return counts, terms
+
+
+def success_prob_fraction(table, rel, k):
+    """Grouped inclusion-exclusion in exact rationals: the sum over subsets
+    of the relation of (-1)^|S| (1 - p(S))^k, with the tuples of each
+    distinct probability p_g taken s_g = 0..c_g at a time, C(c_g, s_g) ways.
+    One integer sum over the common denominator, one Fraction at the end."""
+    counts, _ = success_terms(table, rel)
+    den = math.lcm(*(p.denominator for p in counts))
+    weights = {0: 1}  # numerator of p(S) -> signed number of subsets S
+    for p, c in counts.items():
+        step = p.numerator * (den // p.denominator)
+        grown = {}
+        for x, w in weights.items():
+            for s in range(c + 1):
+                grown[x + s * step] = grown.get(x + s * step, 0) + (-1) ** s * math.comb(c, s) * w
+        weights = grown
+    return Fraction(sum(w * (den - x) ** k for x, w in weights.items() if w), den ** k)
+
+
+def success_prob_inclusion_exclusion(table, rel, k):
+    """The float inclusion-exclusion over all 2^|R| subsets of the relation,
+    doubling the subset sums one tuple at a time.  Its alternating terms
+    cancel: at k = 16 on chain5 it keeps about 8 significant digits."""
+    if not check_coverage(table, rel)[0]:
+        return 0.0
+    input_p = 1.0 / (rel.n * rel.n * rel.omega)
+    sums = np.zeros(1)
+    signs = np.ones(1)
+    for t in rel.tuples:
+        p = float(table.prob(*t)) * input_p
+        sums = np.concatenate([sums, sums + p])
+        signs = np.concatenate([signs, -signs])
+    return min(max(float(np.sum(signs * (1.0 - sums) ** k)), 0.0), 1.0)
 
 
 def run_log_csv(rounds):

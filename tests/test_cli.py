@@ -184,12 +184,13 @@ def test_simulate_coverage_mixture_past_the_single_clique_variants(tmp_path, cap
     rel = build_relation(g, enumerate_maximum_cliques(g))
     rounds = {tuple(map(int, line.split(",")[1:])) for line in text.splitlines()[1:]}
     assert len(rounds) > 1 and rounds <= set(rel.tuples)
-    # the exact success curve stops at its tuple cap (82 tuples here), not
-    # at the mixture search
-    code = main(["simulate", "success", "--in", str(out), "--mixture", "coverage",
-                 "--k-grid", "500", "--trials", "200"])
-    assert code == 4
-    assert "82 tuples exceed" in capsys.readouterr().err
+    # the exact success curve of its 82 tuples agrees with Monte Carlo
+    code, text = run_cli(capsys, "simulate", "success", "--in", str(out), "--mixture",
+                         "coverage", "--k-grid", "500", "--trials", "200", "--seed", "3")
+    assert code == 0
+    k, exact, rate, _ = map(float, text.splitlines()[1].split(","))
+    assert k == 500 and 0 < exact < 1
+    assert abs(rate - exact) <= 3 * math.sqrt(exact * (1 - exact) / 200)
 
 
 def test_byte_identical_reruns(capsys):
@@ -213,11 +214,11 @@ def test_quantum_optimize_command(tmp_path, capsys):
 def test_exit_codes(tmp_path, capsys):
     code, _ = run_cli(capsys, "graph", "gen", "--family", "paley", "--q", "9")
     assert code == 2
-    # 24 tuples are past the 20-tuple cap of the exact success probability
-    d23 = tmp_path / "d23.json"
-    run_cli(capsys, "graph", "gen", "--family", "disconnected", "--n", "2", "--omega", "3",
-            "--out", str(d23))
-    code, _ = run_cli(capsys, "simulate", "success", "--in", str(d23))
+    # the optimal mixture's combination search gives up on six disjoint edges
+    d62 = tmp_path / "d62.json"
+    run_cli(capsys, "graph", "gen", "--family", "disconnected", "--n", "6", "--omega", "2",
+            "--out", str(d62))
+    code, _ = run_cli(capsys, "simulate", "success", "--in", str(d62), "--mixture", "optimal")
     assert code == 4
     # a relation violating diagonal determinism is a model inconsistency
     bad = tmp_path / "bad_rel.json"

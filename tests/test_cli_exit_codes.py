@@ -56,10 +56,50 @@ def test_partial_relation_exits_3(tmp_path, capsys):
 
 
 def test_node_cap_exits_4(tmp_path, capsys):
-    # disconnected(2,3) has 24 tuples, past the 20-tuple exact cap
-    g = write(tmp_path, "d23.json", gen_disconnected(2, 3).to_json())
-    code, err = run(capsys, "simulate", "success", "--in", g)
+    # the optimal mixture's combination search passes its cap on six disjoint edges
+    g = write(tmp_path, "d62.json", gen_disconnected(6, 2).to_json())
+    code, err = run(capsys, "simulate", "success", "--in", g, "--mixture", "optimal")
     assert code == 4 and err.startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize("table", [
+    '{"kind": "float", "n": 1, "omega": 2, "entries": [[NaN, NaN], [NaN, NaN]]}',
+    {"kind": "float", "n": 1, "omega": 2, "entries": [[1.0, 0.0], [0.0]]},
+    {"kind": "exact", "n": 1, "omega": 2, "entries": [["x", "0"], ["0", "1"]]},
+    {"kind": "exact", "n": 1, "omega": 2, "entries": [["1/0", "0"], ["0", "1"]]},
+    {"kind": "exact", "n": "a", "omega": 2, "entries": [["1", "0"], ["0", "1"]]},
+    {"kind": "exact", "n": 1, "omega": 2, "entries": 5},
+    [1, 2],
+])
+def test_malformed_table_file_exits_2(tmp_path, capsys, table):
+    g = write(tmp_path, "d12.json", gen_disconnected(1, 2).to_json())
+    code, err = run(capsys, "simulate", "success", "--in", g,
+                    "--table", write(tmp_path, "table.json", table))
+    assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("graph", [
+    {"order": "x", "edges": []},
+    {"order": 3, "edges": [[1, 2, 3]]},
+    {"order": 3, "edges": [[1, "b"]]},
+    {"order": 3, "edges": [5]},
+    {"order": 3, "edges": 5},
+    [1, 2],
+])
+def test_malformed_graph_file_exits_2(tmp_path, capsys, graph):
+    code, err = run(capsys, "graph", "check", "--in", write(tmp_path, "g.json", graph))
+    assert code == 2 and err.startswith("error: malformed graph:")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--k-grid", "-5"], "k must be nonnegative"),
+    (["--k-grid", "5,x"], "is not a list of integers"),
+    (["--trials", "-3"], "trials must be positive"),
+])
+def test_bad_success_arguments_exit_2(tmp_path, capsys, args, message):
+    g = write(tmp_path, "d12.json", gen_disconnected(1, 2).to_json())
+    code, err = run(capsys, "simulate", "success", "--in", g, *args)
+    assert code == 2 and err.startswith("error:") and message in err
 
 
 def test_unmet_conditions_exit_6(tmp_path, capsys):

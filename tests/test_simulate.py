@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cliquecomm import (
-    CapExceededError,
+    InvalidParamsError,
     ProbTable,
     QuantumStrategy,
     build_relation,
@@ -158,12 +158,16 @@ def test_success_prob_monotone_and_limits(chain5):
     assert values[-1] > 1 - 1e-6
 
 
-def test_success_prob_cap():
-    g, cliques, rel = setup_graph(gen_disconnected(3, 2))
-    t = sccr_protocol(g, cliques, rel).table(3, 2)
-    assert rel.size > 20
-    with pytest.raises(CapExceededError):
-        success_prob_exact(t, rel, 100)
+def test_negative_rounds_and_trials_are_rejected(chain5):
+    g, cliques, rel = chain5
+    t = sccr_protocol(g, cliques, rel).table(rel.n, rel.omega)
+    with pytest.raises(InvalidParamsError, match="k must be nonnegative"):
+        success_prob_exact(t, rel, -5)
+    with pytest.raises(InvalidParamsError, match="k must be nonnegative"):
+        mc_success_rate(t, rel, -5, trials=10, seed=0)
+    for trials in (0, -3):
+        with pytest.raises(InvalidParamsError, match="trials must be positive"):
+            mc_success_rate(t, rel, 100, trials=trials, seed=0)
 
 
 def test_mc_agrees_with_exact(chain5):
