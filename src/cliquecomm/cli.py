@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -193,28 +194,55 @@ def cmd_complexity(args) -> None:
     _emit(args, payload, {"in": args.infile, "m": args.m})
 
 
+def _rsp_angles(text: str) -> tuple[float, ...]:
+    try:
+        angles = tuple(float(t) for t in text.split(","))
+    except ValueError:
+        angles = ()
+    if not angles or not all(map(math.isfinite, angles)):
+        raise InvalidParamsError(f"--angles {text!r} is not a list of finite numbers")
+    return angles
+
+
+def _mub_bases(data) -> tuple[list, int]:
+    """The bases of a mub file as d x d complex matrices with column
+    vectors, and d.  The file stores each basis as d vectors of d
+    [re, im] pairs."""
+    try:
+        d, bases = int(data["d"]), list(data["bases"])
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParamsError("a mub file holds an integer d and a list of bases") from None
+    import numpy as np
+
+    mats = []
+    for basis in bases:
+        try:
+            pairs = np.asarray(basis)
+        except ValueError:  # ragged nesting
+            pairs = np.empty(0)
+        if (pairs.shape != (d, d, 2) or pairs.dtype.kind not in "iuf"
+                or not np.isfinite(pairs).all()):
+            raise InvalidParamsError(f"each basis must be {d} vectors of {d} finite [re, im] pairs")
+        mats.append(pairs.astype(float).view(complex)[..., 0].T)
+    return mats, d
+
+
 def cmd_quantum(args) -> None:
     if args.action == "rsp":
         if args.symmetric:
             angles = symmetric_equatorial_angles(args.n)
         else:
-            angles = tuple(float(t) for t in args.angles.split(","))
+            angles = _rsp_angles(args.angles)
         report = rsp_payoff(angles)
         _emit(args, {"payoff": report.payoff,
                      "duplicate": report.duplicate_pair is not None},
               {"n": args.n, "symmetric": args.symmetric})
         return
+    if not args.infile:
+        raise InvalidParamsError(f"quantum {args.action} needs --in")
     if args.action == "mub":
-        data = _load_json(args.infile)
-        bases = [
-            [[complex(re, im) for re, im in row] for row in basis]
-            for basis in data["bases"]
-        ]
-        import numpy as np
-
-        mats = [np.array(b).T for b in bases]  # stored as rows of vectors
-        _emit(args, {"mub": check_mub(mats, int(data["d"]), tol=args.tol)},
-              {"in": args.infile})
+        mats, d = _mub_bases(_load_json(args.infile))
+        _emit(args, {"mub": check_mub(mats, d, tol=args.tol)}, {"in": args.infile})
         return
     g = Graph.from_json(_load_json(args.infile))
     cliques = enumerate_maximum_cliques(g)

@@ -210,6 +210,23 @@ def build_relation(g: Graph, cliques: CliqueSet) -> Relation:
     return rel
 
 
+def row_classes(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """Group the rows of a 2-D boolean mask: (row -> class, class count),
+    classes numbered by their least row.
+
+    Each row is packed to bytes and read as one opaque key, so a 1-D
+    unique of the keys groups the rows as np.unique(axis=0) would, at a
+    fraction of its cost.
+    """
+    packed = np.packbits(mask, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    count = len(first)
+    rank = np.empty(count, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(count)
+    return rank[inverse], count
+
+
 def infer_graph(rel: Relation, n: int, omega: int) -> tuple[Graph, tuple[tuple[tuple[int, int], ...], ...]]:
     """Rebuild the host graph from the relation alone.
 
@@ -242,13 +259,7 @@ def infer_graph(rel: Relation, n: int, omega: int) -> tuple[Graph, tuple[tuple[t
         y = int(np.argmax(empty[s])) + 1
         raise InconsistentRelationError(f"relation not total at input ({x},{a},{y})")
 
-    _, first, inverse = np.unique(rel.mask, axis=0, return_index=True,
-                                  return_inverse=True)
-    count = len(first)
-    rank = np.empty(count, dtype=np.intp)
-    rank[np.argsort(first)] = np.arange(count)
-    class_of = rank[inverse.ravel()]  # slot -> class, numbered by least member
-
+    class_of, count = row_classes(rel.mask)
     onehot = np.zeros((size, count))
     onehot[np.arange(size), class_of] = 1.0
     sizes = onehot.sum(axis=0)

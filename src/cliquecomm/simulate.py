@@ -26,9 +26,20 @@ call and keeps them as omega - 1 flat columns indexed by the block
 `row * n + (y - 1)`.  A round's output is the number of those block CDF
 steps its uniform draw exceeds: the first output whose CDF reaches the
 draw, or the last output when none does (the residual of a subnormalized
-block falls on it).  Logs and the observed support stay arrays: a `RunLog`
-holds a (k, 4) integer array, and `reconstruct` scatters it into a
-relation mask.
+block falls on it).  The sampler gathers each column into one reused
+float buffer.
+
+Every kernel holds a fixed number of round-sized arrays.  `simulate_rounds`
+writes its draws into the (k, 4) int64 array that its `RunLog` keeps, and
+`reconstruct` scatters that array into a relation mask through one flat
+cell index.  `mc_success_rate` holds, per chunk of trials, one (chunk, k)
+int64 array of block indices, each input draw folded into it as it
+arrives, and one (chunk, k) array of uniforms.  It then reads the rounds
+in windows, only for the trials still live: |R| rounds first, since no
+trial can show |R| tuples sooner, then windows doubling up to k.  A trial
+leaves as a success once it has shown every tuple; one still live after
+k rounds is a failure.  The draws, their order and the count are those
+of sampling every round of every trial.
 """
 
 from __future__ import annotations
@@ -57,7 +68,8 @@ class RunLog:
     `array` is a read-only (k, 4) int64 array, one round per row, and
     `rounds` is a tuple view of it built on first use.
     `RunLog(rounds, k, seed)` takes the rounds as a list of four-integer
-    lists; `RunLog.from_array` takes the array as given.
+    lists; `RunLog.from_array` keeps an int64 array as it is, without a
+    copy, and marks it read-only.
     """
 
     generator = GENERATOR
@@ -68,7 +80,7 @@ class RunLog:
     @classmethod
     def from_array(cls, array: np.ndarray, seed: int) -> "RunLog":
         log = cls.__new__(cls)
-        log._init(np.array(array, dtype=np.int64), len(array), seed)
+        log._init(np.asarray(array, dtype=np.int64), len(array), seed)
         return log
 
     def _init(self, array: np.ndarray, k: int, seed: int):
@@ -111,7 +123,8 @@ def _output_sampler(table: ProbTable):
     uniform draw in [0, 1).  The output is the count of block CDF values
     below u over the first omega - 1 outputs.  The CDF of nonnegative
     entries is nondecreasing, so this equals counting over all omega of
-    them and capping at omega - 1, float for float.
+    them and capping at omega - 1, float for float.  One float buffer of
+    the shape of `blocks` takes each CDF column's gather in turn.
     """
     n, omega = table.n, table.omega
     cdf = np.cumsum(table.as_float().reshape(n * omega, n, omega), axis=2)
@@ -121,8 +134,11 @@ def _output_sampler(table: ProbTable):
         # the smallest dtype that holds omega - 1: adding booleans into it
         # costs a fraction of adding them into int64
         outputs = np.zeros(blocks.shape, dtype=np.min_scalar_type(omega))
+        cut = np.empty(blocks.shape)
         for column in columns:
-            outputs += u > column.take(blocks)
+            # blocks are in range by construction; take into `out` under the
+            # default mode="raise" would buffer through a temporary
+            outputs += u > column.take(blocks, out=cut, mode="clip")
         return outputs
 
     return draw
@@ -137,11 +153,17 @@ def simulate_rounds(table: ProbTable, k: int, seed: int) -> RunLog:
     if k == 0:
         return RunLog((), 0, seed)
     draw = _output_sampler(table)
-    xs = rng.integers(1, n + 1, size=k)
-    las = rng.integers(0, omega, size=k)
-    ys = rng.integers(1, n + 1, size=k)
-    bs = draw(slot_index(omega, xs, las) * n + ys - 1, rng.random(k))
-    return RunLog.from_array(np.stack([xs, las, ys, bs], axis=1), seed)
+    log = np.empty((k, 4), dtype=np.int64)
+    x, a, y, b = log.T
+    x[:] = rng.integers(1, n + 1, size=k)
+    a[:] = rng.integers(0, omega, size=k)
+    y[:] = rng.integers(1, n + 1, size=k)
+    blocks = slot_index(omega, x, a)
+    blocks *= n
+    blocks += y
+    blocks -= 1
+    b[:] = draw(blocks, rng.random(k))
+    return RunLog.from_array(log, seed)
 
 
 @dataclass(frozen=True)
@@ -167,10 +189,20 @@ def reconstruct(log: RunLog, n: int, omega: int,
     x, a, y, b = log.array.T
     asked = (1 <= x) & (x <= n) & (0 <= a) & (a < omega) & (1 <= y) & (y <= n)
     answered = (0 <= b) & (b < omega)
-    # slot omega of each (row, y) block records an input answered out of range
-    seen = np.zeros((n * omega, n, omega + 1), dtype=bool)
-    seen[slot_index(omega, x[asked], a[asked]), y[asked] - 1,
-         np.where(answered, b, omega)[asked]] = True
+    # one flat cell per round, ((row * n) + y - 1) * (omega + 1) + b: cell
+    # omega of each (row, y) block records an input answered out of range,
+    # and the last cell takes every round whose input is out of range
+    cells = slot_index(omega, x, a)
+    cells *= n
+    cells += y
+    cells -= 1
+    cells *= omega + 1
+    cells += np.where(answered, b, omega)
+    last = n * omega * n * (omega + 1)
+    cells[~asked] = last
+    seen = np.zeros(last + 1, dtype=bool)
+    seen[cells] = True
+    seen = seen[:last].reshape(n * omega, n, omega + 1)
     covered = bool(asked.all() and seen.any(axis=2).all())
     support = Relation.from_mask(n, omega, seen[:, :, :omega].reshape(n * omega, n * omega))
     observed = support.tuples
@@ -276,10 +308,16 @@ def success_prob_exact(table: ProbTable, rel: Relation, k: int) -> float:
 def mc_success_rate(table: ProbTable, rel: Relation, k: int, trials: int,
                     seed: int, chunk: int = 512) -> tuple[float, float]:
     """Monte-Carlo estimate of the reconstruction probability, with its
-    binomial standard error.  Trials are vectorized in chunks of (trial,
-    round) arrays.  Without drawing, the rate is 0 when k < |R| (k rounds
-    show at most k tuples) or when the table gives some admissible tuple
-    probability zero, as in `success_prob_exact`."""
+    binomial standard error.
+
+    Trials run in chunks of `chunk`; the seeded stream depends on it.  Each
+    chunk draws its inputs and uniforms as (chunk, k) arrays and holds two
+    of them, the folded block indices and the uniforms.  A trial leaves
+    once it has shown every tuple, checked after |R| rounds and then at
+    doubling round counts, so a chunk samples Bob's outputs only for the
+    rounds its trials need.  Without drawing, the rate is 0 when k < |R|
+    (k rounds show at most k tuples) or when the table gives some
+    admissible tuple probability zero, as in `success_prob_exact`."""
     if k < 0:
         raise InvalidParamsError("k must be nonnegative")
     if trials < 1:
@@ -302,23 +340,36 @@ def _mc_successes(table: ProbTable, rel: Relation, k: int, trials: int,
     target = np.full(rel.mask.size, size, dtype=np.intp)
     target[np.flatnonzero(rel.mask)] = np.arange(size)
     rng = np.random.default_rng(seed)
-    successes = 0
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        xs = rng.integers(0, n, size=(t, k))
-        las = rng.integers(0, omega, size=(t, k))
-        ys = rng.integers(0, n, size=(t, k))
-        blocks = (xs * omega + las) * n + ys
-        bs = draw(blocks, rng.random((t, k)))
-        # k >= size, so the (trial, tuple) presence array is no larger
-        # than the chunk's (trial, round) arrays
+
+    def successes(t: int) -> int:
+        # block index (x * omega + a) * n + y, each draw folded in on arrival
+        blocks = rng.integers(0, n, size=(t, k))
+        blocks *= omega
+        blocks += rng.integers(0, omega, size=(t, k))
+        blocks *= n
+        blocks += rng.integers(0, n, size=(t, k))
+        u = rng.random((t, k))
+        # the chunk's rows still live, and the tuples each has shown
+        live = np.arange(t)
         present = np.zeros((t, size + 1), dtype=bool)
-        offsets = np.arange(t)[:, None] * (size + 1)
-        present.ravel()[target.take(blocks * omega + bs) + offsets] = True
-        successes += int(present[:, :size].all(axis=1).sum())
-        done += t
-    return successes
+        start, stop = 0, size
+        while len(live) and start < k:
+            if len(live) == t:  # a view: its cells are not read again
+                window, cuts = blocks[:, start:stop], u[:, start:stop]
+            else:
+                window, cuts = blocks[live, start:stop], u[live, start:stop]
+            outputs = draw(window, cuts)
+            window *= omega
+            window += outputs
+            ids = target.take(window)
+            ids += np.arange(len(live))[:, None] * (size + 1)
+            present.ravel()[ids] = True
+            left = ~present[:, :size].all(axis=1)
+            live, present = live[left], present[left]
+            start, stop = stop, min(2 * stop, k)
+        return t - len(live)
+
+    return sum(successes(min(chunk, trials - done)) for done in range(0, trials, chunk))
 
 
 def payoff_vs_rounds_report(table: ProbTable, rel: Relation,

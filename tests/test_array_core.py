@@ -38,6 +38,7 @@ from cliquecomm import (
     infer_graph,
     mc_success_rate,
     mix_tables,
+    mixture_for_optimality,
     optimal_gram,
     payoff,
     quantum_table,
@@ -45,6 +46,7 @@ from cliquecomm import (
     sccr_protocol,
     simulate_rounds,
 )
+from cliquecomm.relation import row_classes
 from cliquecomm.simulate import tuple_probabilities
 from conftest import consistency_oracle
 
@@ -198,6 +200,31 @@ def test_infer_graph_matches_loop_on_partial_supports(g, data):
     for r, c in flips:
         mask[r, c] = not mask[r, c]
     check_infer(Relation.from_mask(rel.n, rel.omega, mask))
+
+
+def assert_row_classes_match_axis0(mask):
+    _, first, inverse = np.unique(mask, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    class_of, count = row_classes(mask)
+    assert count == len(first)
+    assert np.array_equal(class_of, rank[inverse.ravel()])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_row_classes_match_axis0_unique_on_families(family):
+    assert_row_classes_match_axis0(instance(FAMILIES[family]())[2].mask)
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_row_classes_match_axis0_unique_on_random_masks(g, data):
+    mask = instance(g)[2].mask
+    assert_row_classes_match_axis0(mask)
+    # rows repeated, shuffled and cut to widths that are not whole bytes
+    rows = data.draw(st.lists(st.integers(0, len(mask) - 1), min_size=1, max_size=12))
+    width = data.draw(st.integers(1, mask.shape[1]))
+    assert_row_classes_match_axis0(mask[rows, :width])
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -381,6 +408,25 @@ def test_sampler_matches_gather_on_subnormalized_tables(family):
     k = rel.size + 40
     assert mc_success_rate(table, rel, k, 300, seed=5, chunk=128) == \
         oracle.mc_success_rate(table, rel, k, 300, seed=5, chunk=128)
+
+
+@pytest.mark.parametrize("subnormalized", [False, True])
+@pytest.mark.parametrize("k", [16, 17, 40, 54, 300, 1000])
+def test_mc_early_exit_matches_gather(chain5, k, subnormalized):
+    # chain5 has |R| = 16 tuples, and about |R| H_|R| = 54 rounds show them
+    # all: k = |R| is the first window alone, 17..54 stop mid-doubling with
+    # trials still live, and k >> |R| lets every trial leave early; 300
+    # trials in chunks of 128 leave a last chunk of 44
+    g, cliques, rel = chain5
+    table = mixture_for_optimality(g, cliques, rel).table(rel.n, rel.omega)
+    if subnormalized:
+        table = ProbTable(rel.n, rel.omega, 0.75 * table.as_float(), kind="float",
+                          subnormalized=True)
+    for seed, trials, chunk in [(7, 300, 128), (8, 300, 512), (9, 100, 1)]:
+        got = mc_success_rate(table, rel, k, trials, seed=seed, chunk=chunk)
+        assert got == oracle.mc_success_rate(table, rel, k, trials, seed=seed, chunk=chunk)
+    if k in (40, 54):
+        assert 0 < got[0] < 1  # some trials leave and some stay to the end
 
 
 @pytest.mark.parametrize("family", ["nncc(2,3,1)", "disconnected(3,2)"])

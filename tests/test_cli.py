@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -169,6 +170,26 @@ def test_simulate_run_and_success(tmp_path, capsys):
                          "--trials", "500", "--seed", "3")
     assert code == 0
     assert text.splitlines()[0] == "k,P_exact,P_mc,stderr"
+
+
+@pytest.mark.parametrize("graph, argv, digest", [
+    (["--family", "paley", "--q", "13"],
+     ["run", "--k", "20280", "--seed", "7"],
+     "a169444fbe64999a88a8189ba560586ff0686dbb53a0d60ceb8bdb860dedc3dc"),
+    (["--family", "nncc", "--n", "2", "--omega", "3", "--r", "1"],
+     ["success", "--mixture", "optimal", "--trials", "2000"],
+     "bc065785ec7b9313e14130f32164a6973c6f8ba25c2327b389ecf5ee7a1879fc"),
+])
+def test_simulate_output_bytes_are_pinned(tmp_path, capsys, graph, argv, digest):
+    # digests of the output of kernels that kept every draw and sampled every
+    # round of every trial: folding the draws and letting trials leave early
+    # keep the seeded stream and the counts
+    gpath, out = tmp_path / "g.json", tmp_path / "out.csv"
+    assert run_cli(capsys, "graph", "gen", *graph, "--out", str(gpath))[0] == 0
+    code, _ = run_cli(capsys, "simulate", argv[0], "--in", str(gpath), *argv[1:],
+                      "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_coverage_mixture_past_the_single_clique_variants(tmp_path, capsys):

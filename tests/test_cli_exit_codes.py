@@ -102,6 +102,35 @@ def test_bad_success_arguments_exit_2(tmp_path, capsys, args, message):
     assert code == 2 and err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("angles", ["1,x", "", "0.5,,1", "1,nan", "inf"])
+def test_bad_rsp_angles_exit_2(capsys, angles):
+    code, err = run(capsys, "quantum", "rsp", "--angles", angles)
+    assert code == 2 and err.startswith("error:") and "is not a list of finite numbers" in err
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"d": 2, "bases": [[[1, 0], [0, 1]]]}, "each basis must be 2 vectors"),  # no [re, im]
+    ({"d": 2, "bases": [[[[1, 0], [0, 0]], [[0, 0], [1]]]]}, "each basis must be 2 vectors"),
+    ({"d": 2, "bases": [[[["1", 0], [0, 0]], [[0, 0], [1, 0]]]]}, "each basis must be 2"),
+    ('{"d": 2, "bases": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}', "finite [re, im] pairs"),
+    ({"d": 3, "bases": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}, "each basis must be 3 vectors"),
+    ({"d": "x", "bases": []}, "holds an integer d and a list of bases"),
+    ('{"d": Infinity, "bases": []}', "holds an integer d and a list of bases"),
+    ({"d": 2, "bases": 5}, "holds an integer d and a list of bases"),
+    ([1, 2], "holds an integer d and a list of bases"),
+    ({"bases": []}, "'d'"),
+])
+def test_malformed_mub_file_exits_2(tmp_path, capsys, data, message):
+    code, err = run(capsys, "quantum", "mub", "--in", write(tmp_path, "bases.json", data))
+    assert code == 2 and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("action", ["mub", "table", "optimize"])
+def test_quantum_file_commands_without_input_exit_2(capsys, action):
+    code, err = run(capsys, "quantum", action)
+    assert code == 2 and err == f"error: quantum {action} needs --in\n"
+
+
 def test_unmet_conditions_exit_6(tmp_path, capsys):
     # opposite corners of the 4-cycle share their neighbourhood
     code, err = run(capsys, "complexity", "sccr", "--in", write(tmp_path, "c4.json", C4))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,3 +241,32 @@ def test_reconstruction_round_trip_families(make):
     assert res.success
     assert res.inferred_graph is not None
     assert res.inferred_graph.order == g.order
+
+
+def traced_peak(call):
+    """(result, bytes) of call() and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_holds_two_round_arrays_per_chunk(chain5):
+    # the folded block indices and the uniforms, plus what the windows
+    # gather; not one (chunk, k) temporary per draw and per step
+    g, cliques, rel = chain5
+    t = mixture_for_optimality(g, cliques, rel).table(rel.n, rel.omega)
+    chunk, k = 512, 1000
+    (rate, _), peak = traced_peak(lambda: mc_success_rate(t, rel, k, 10_000, seed=1,
+                                                          chunk=chunk))
+    assert rate == 1.0
+    assert peak <= 3 * chunk * k * 8
+
+
+def test_simulate_rounds_peak_is_a_small_multiple_of_its_log():
+    g, cliques, rel = setup_graph(gen_paley(13))
+    t = sccr_protocol(g, cliques, rel).table(rel.n, rel.omega)
+    log, peak = traced_peak(lambda: simulate_rounds(t, 120 * rel.n * rel.n * rel.omega, 3))
+    assert peak <= 2.25 * log.array.nbytes
