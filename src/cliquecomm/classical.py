@@ -31,7 +31,7 @@ from .errors import (
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph, is_prime
 from .graphs import _covers_all_vertices, _pairs_distinguishable
 from .paley import character_matrix
-from .relation import Relation, selected_vertices, slot_index
+from .relation import Relation, row_classes, selected_vertices, slot_index
 from .tables import ProbTable, check_coverage, mix_tables
 
 STRATEGY_CAP = 4096  # strategies enumerate_consistent_strategies returns at most
@@ -286,7 +286,7 @@ def verify_classical_lower_bound(
     have identical admissible-output vectors, that is identical mask rows,
     so the fewest messages any encoder needs is the number of distinct rows.
     """
-    return len({row.tobytes() for row in rel.mask}) > m
+    return row_classes(rel.mask)[1] > m
 
 
 def randomized_encoding_feasible(

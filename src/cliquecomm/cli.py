@@ -265,7 +265,7 @@ def cmd_quantum(args) -> None:
         payload = {
             "dimension": rep.d,
             "payoff": result.payoff,
-            "lower_bound_only": result.is_lower_bound,
+            "lower_bound_only": True,
             "representation_payoff": representation_payoff(rep, g),
         }
     _emit(args, payload, {"in": args.infile, "d": rep.d})

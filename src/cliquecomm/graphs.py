@@ -97,7 +97,7 @@ class Graph:
         try:
             order = int(data["order"])
             edges = [(int(u), int(v)) for u, v in data["edges"]]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParamsError(f"malformed graph: {exc}") from None
         return cls(order, edges)
 

@@ -20,6 +20,7 @@ from .graphs import gen_paley, is_prime
 from .quantum import OrthogonalRepresentation
 
 SPECTRUM_TOL = 1e-9
+FOURIER_TOL = 1e-8
 RANK_TOL = 1e-6
 
 
@@ -98,12 +99,12 @@ def adjacency_spectrum(q: int) -> np.ndarray:
     return np.linalg.eigvalsh(adjacency_matrix(q).astype(float))
 
 
-def spectrum_matches(eigs: np.ndarray, expected: list[tuple[float, int]],
-                     tol: float = SPECTRUM_TOL) -> bool:
-    """Multiset comparison of computed eigenvalues against (value, multiplicity)."""
+def spectrum_matches(eigs: np.ndarray, expected: list[tuple[float, int]]) -> bool:
+    """Multiset comparison of computed eigenvalues against (value, multiplicity),
+    each within SPECTRUM_TOL."""
     want = np.sort(np.concatenate([[v] * m for v, m in expected]))
     got = np.sort(np.asarray(eigs, dtype=float))
-    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= tol))
+    return got.shape == want.shape and bool(np.all(np.abs(got - want) <= SPECTRUM_TOL))
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,13 @@ def lovasz_theta(q: int) -> float:
     return theta
 
 
-def fourier_eigenvector_check(q: int, tol: float = 1e-8) -> bool:
+def fourier_eigenvector_check(q: int) -> bool:
     """Fourier vectors diagonalize the Gram matrix with the predicted eigenvalues.
 
     The all-ones vector carries sqrt(q).  With edges on residue differences,
     the Gauss sum puts the kernel on the residue frequencies: residue indices
-    carry zero and non-residue indices carry 2 sqrt(q)/(1+sqrt(q)).
+    carry zero and non-residue indices carry 2 sqrt(q)/(1+sqrt(q)); each
+    residual norm is within FOURIER_TOL.
     """
     report = optimal_gram(q)
     residues = quadratic_residues(q)
@@ -184,7 +186,7 @@ def fourier_eigenvector_check(q: int, tol: float = 1e-8) -> bool:
             want = 0.0
         else:
             want = 2 * np.sqrt(q) / (1 + np.sqrt(q))
-        if np.linalg.norm(out - want * vec) > tol:
+        if np.linalg.norm(out - want * vec) > FOURIER_TOL:
             return False
     return True
 

@@ -36,6 +36,7 @@ from .tables import ProbTable, check_consistency
 from .tables import payoff as table_payoff
 
 ORTHO_TOL = 1e-9
+ANGLE_TOL = 1e-9
 
 GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
 
@@ -98,19 +99,18 @@ class VerificationReport:
     violations: tuple = field(default_factory=tuple)
 
 
-def verify_representation(
-    rep: OrthogonalRepresentation, g: Graph, tol: float = ORTHO_TOL
-) -> VerificationReport:
+def verify_representation(rep: OrthogonalRepresentation, g: Graph) -> VerificationReport:
     """Check unit norms, orthogonality on edges, and faithfulness off edges.
 
     Faithfulness means non-adjacent distinct vertices have nonzero overlap;
     vectors equal up to a global phase also fail, since distinct vertices
     must carry distinct states.  A vertex past the last row is missing.
+    Every comparison allows ORTHO_TOL.
     """
     vecs = rep.vectors[:g.order]
     norms = np.linalg.norm(vecs, axis=1).tolist()
     violations = [("norm", v, None, norm) for v, norm in enumerate(norms, start=1)
-                  if abs(norm - 1) > tol]
+                  if abs(norm - 1) > ORTHO_TOL]
     violations += [("missing", v, None, None) for v in range(len(vecs) + 1, g.order + 1)]
     if violations:
         return VerificationReport(False, tuple(violations))
@@ -118,7 +118,8 @@ def verify_representation(
     adj = g.adjacency[1:, 1:]
     # 0 for a sound pair, else the index of its kind in VIOLATION_KINDS
     kind = np.select(
-        [adj & (overlap > tol), ~adj & (overlap <= tol), ~adj & (np.abs(overlap - 1) <= tol)],
+        [adj & (overlap > ORTHO_TOL), ~adj & (overlap <= ORTHO_TOL),
+         ~adj & (np.abs(overlap - 1) <= ORTHO_TOL)],
         [1, 2, 3],
     )
     for i, j in np.argwhere(np.triu(kind, k=1)).tolist():
@@ -150,35 +151,27 @@ def _generic_unitary(dim: int, offset: int = 0) -> np.ndarray:
     return np.diag(phases) @ rot
 
 
-def _clique_overlaps(g: Graph, cliques: CliqueSet) -> tuple[np.ndarray, np.ndarray]:
-    """(shared, within): shared[i, j] counts the vertices cliques i+1 and
-    j+1 share; within[u, v] says whether vertices u and v lie in a common
-    clique, so its diagonal marks the covered vertices."""
+def _closed_form(g: Graph, cliques: CliqueSet):
+    """The closed-form builder of the clique structure, or None.
+
+    Both closed forms need cliques that cover every vertex and hold every
+    edge.  Vertex-disjoint cliques take _build_disconnected; a chain, whose
+    consecutive cliques share one common number of vertices and whose other
+    pairs share none, takes _build_chain.
+    """
     member = clique_membership(cliques, g.order).astype(np.int64)
-    return member @ member.T, member.T @ member > 0
-
-
-def _partitioned(g: Graph, cliques: CliqueSet) -> bool:
-    shared, within = _clique_overlaps(g, cliques)
-    return bool(
-        not np.triu(shared, k=1).any()
-        and within.diagonal()[1:].all()
-        and not (g.adjacency & ~within).any()
-    )
-
-
-def _chain_overlap(g: Graph, cliques: CliqueSet) -> int | None:
-    """Shared-vertex count r if the cliques form a chain with overlaps only
-    between consecutive cliques and no cross edges; None otherwise."""
-    if cliques.count < 2:
+    # shared[i, j] counts the vertices cliques i+1 and j+1 share; within[u, v]
+    # says whether u and v lie in a common clique, so its diagonal is coverage
+    shared, within = member @ member.T, member.T @ member > 0
+    if not (within.diagonal()[1:].all()
+            and np.array_equal(g.adjacency, within & ~np.eye(g.order + 1, dtype=bool))):
         return None
-    shared, within = _clique_overlaps(g, cliques)
-    r = int(shared[0, 1])
-    if r == 0 or (shared.diagonal(1) != r).any() or np.triu(shared, k=2).any():
-        return None
-    if not np.array_equal(g.adjacency, within & ~np.eye(g.order + 1, dtype=bool)):
-        return None
-    return r if within.diagonal()[1:].all() else None
+    if not np.triu(shared, k=1).any():
+        return _build_disconnected
+    chain = shared.diagonal(1)
+    if chain[0] and (chain == chain[0]).all() and not np.triu(shared, k=2).any():
+        return _build_chain
+    return None
 
 
 def _build_disconnected(g: Graph, cliques: CliqueSet, d: int, attempt: int,
@@ -325,18 +318,29 @@ def _build_by_ascent(g: Graph, d: int, seed: int) -> OrthogonalRepresentation:
     raise ConstructionFailedError("numeric search found no certified representation")
 
 
-def _dimension(g: Graph, cliques: CliqueSet, d: int | None) -> int:
-    """d, or by default omega where a closed form exists and otherwise the
-    general-position dimension order minus the complement's connectivity
-    (Lovasz-Saks-Schrijver), which is never below omega."""
+def _dimension(g: Graph, cliques: CliqueSet, d: int | None, builder) -> int:
+    """d, or by default omega where a closed-form builder exists and
+    otherwise the general-position dimension order minus the complement's
+    connectivity (Lovasz-Saks-Schrijver), which is never below omega."""
     if d is None:
-        if _partitioned(g, cliques) or _chain_overlap(g, cliques) is not None:
-            d = cliques.omega
-        else:
-            d = g.order - _complement_connectivity(g)
+        d = cliques.omega if builder else g.order - _complement_connectivity(g)
     if d < cliques.omega:
         raise InvalidParamsError(f"dimension {d} below clique size {cliques.omega}")
     return d
+
+
+def _construct(g: Graph, cliques: CliqueSet, d: int, seed: int,
+               builder) -> OrthogonalRepresentation:
+    """The closed form of `builder`, certified, retried with fresh generic
+    choices until one certifies; without a builder, the ascent."""
+    if builder is None:
+        return _build_by_ascent(g, d, seed)
+    for attempt in range(8):
+        rng = np.random.default_rng((seed, attempt))
+        rep = builder(g, cliques, d, attempt, rng)
+        if verify_representation(rep, g).ok:
+            return rep
+    raise ConstructionFailedError("no certified representation after retries")
 
 
 def build_representation(
@@ -352,19 +356,8 @@ def build_representation(
     generic choices before giving up.  d defaults to omega for the two
     closed forms and to the general-position dimension otherwise.
     """
-    d = _dimension(g, cliques, d)
-    if _partitioned(g, cliques):
-        builder = _build_disconnected
-    elif _chain_overlap(g, cliques) is not None:
-        builder = _build_chain
-    else:
-        return _build_by_ascent(g, d, seed)
-    for attempt in range(8):
-        rng = np.random.default_rng((seed, attempt))
-        rep = builder(g, cliques, d, attempt, rng)
-        if verify_representation(rep, g).ok:
-            return rep
-    raise ConstructionFailedError("no certified representation after retries")
+    builder = _closed_form(g, cliques)
+    return _construct(g, cliques, _dimension(g, cliques, d, builder), seed, builder)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +427,6 @@ def quantum_table(strategy: QuantumStrategy, rel: Relation,
 class OptimizeResult:
     rep: OrthogonalRepresentation
     payoff: float
-    restarts: int
-    is_lower_bound: bool = True
 
 
 def optimize_payoff(
@@ -444,39 +435,34 @@ def optimize_payoff(
     d: int | None = None,
     restarts: int = 32,
     seed: int = 0,
-    initial_reps: tuple = (),
 ) -> OptimizeResult:
     """Maximize the smallest non-adjacent squared overlap in dimension d.
 
-    The supplied representations (or else a closed-form one) and
-    `restarts` random starts run the ascent, with one orthonormal frame per
-    clique for vertex-disjoint cliques and an edge penalty otherwise.  The
-    best certified end point or unmoved start is returned with its payoff:
-    a lower bound on the optimum, never below a start.  d defaults as in
-    build_representation.
+    The closed-form representation, where one exists, and `restarts`
+    random starts run the ascent, with one orthonormal frame per clique
+    for vertex-disjoint cliques and an edge penalty otherwise.  The best
+    certified end point or the unmoved closed form is returned with its
+    payoff: a lower bound on the optimum, never below the closed form.
+    d defaults as in build_representation.
     """
-    d = _dimension(g, cliques, d)
+    if restarts < 0:
+        raise InvalidParamsError(f"restarts={restarts} is negative")
+    builder = _closed_form(g, cliques)
+    d = _dimension(g, cliques, d, builder)
     if 2 * len(g.edges) == g.order * (g.order - 1):
         # a complete graph has no non-adjacent pair to pay off
-        rep = build_representation(g, cliques, d, seed=seed)
-        return OptimizeResult(rep, 1.0, 0)
-    partitioned = _partitioned(g, cliques)
-    starts = list(initial_reps)
-    if not starts and (partitioned or _chain_overlap(g, cliques) is not None):
-        # elsewhere the constructed start is one of the random starts below
-        starts.append(build_representation(g, cliques, d, seed=seed))
-    starts = [rep for rep in starts
-              if rep.vectors.shape == (g.order, d) and verify_representation(rep, g).ok]
-    vecs = [rep.vectors for rep in starts]
-    vecs += _random_starts(seed, restarts, g.order, d)
-    blocks = np.asarray(cliques.cliques) - 1 if partitioned else None
+        return OptimizeResult(_construct(g, cliques, d, seed, builder), 1.0)
+    # without a closed form, the random starts include build_representation's
+    starts = [] if builder is None else [_construct(g, cliques, d, seed, builder)]
+    vecs = [rep.vectors for rep in starts] + _random_starts(seed, restarts, g.order, d)
+    blocks = np.asarray(cliques.cliques) - 1 if builder is _build_disconnected else None
     ends = _certify(_ascend(np.array(vecs), g, blocks), g) if vecs else []
     candidates = starts + [rep for rep in ends if rep is not None]
     if not candidates:
         raise ConstructionFailedError("no restart produced a certified representation")
     values = [representation_payoff(rep, g) for rep in candidates]
     best = int(np.argmax(values))
-    return OptimizeResult(candidates[best], values[best], restarts)
+    return OptimizeResult(candidates[best], values[best])
 
 
 # ---------------------------------------------------------------------------
@@ -498,18 +484,18 @@ def check_mub(bases, d: int, tol: float = ORTHO_TOL) -> bool:
     return True
 
 
-def detect_mub(table: ProbTable, rel: Relation, g: Graph, cliques: CliqueSet,
-               tol: float = ORTHO_TOL) -> bool:
+def detect_mub(table: ProbTable, rel: Relation, g: Graph, cliques: CliqueSet) -> bool:
     """On vertex-disjoint cliques, an optimal payoff certifies unbiased bases.
 
     With two or more disjoint cliques the bound is 1/omega and reaching it
     forces every cross overlap to 1/omega, which is the mutual-unbiasedness
-    condition; a single clique meets its bound of 1 vacuously.
+    condition; a single clique meets its bound of 1 vacuously.  The payoff
+    must equal the bound within ORTHO_TOL.
     """
-    if not _partitioned(g, cliques):
+    if _closed_form(g, cliques) is not _build_disconnected:
         raise ConditionsNotMetError("MUB detection needs vertex-disjoint cliques")
     report = table_payoff(table, rel)
-    return abs(float(report.value) - float(report.upper_bound)) <= tol
+    return abs(float(report.value) - float(report.upper_bound)) <= ORTHO_TOL
 
 
 @dataclass(frozen=True)
@@ -523,7 +509,7 @@ def symmetric_equatorial_angles(n: int) -> tuple[float, ...]:
     return tuple(k * math.pi / n for k in range(n))
 
 
-def rsp_payoff(angles, tol: float = 1e-9) -> RspReport:
+def rsp_payoff(angles) -> RspReport:
     """Payoff of the entanglement-assisted protocol on equatorial qubit bases.
 
     Angles are Bloch-equator directions, one orthogonal state pair each (a
@@ -531,7 +517,8 @@ def rsp_payoff(angles, tol: float = 1e-9) -> RspReport:
     selected state exactly, so cross probabilities between bases at angular
     distance delta are cos^2(delta/2) and sin^2(delta/2), and the payoff is
     the smallest of those over distinct basis pairs.  Coinciding bases leave
-    a zero entry inside the relation, so the payoff collapses to zero.
+    a zero entry inside the relation, so the payoff collapses to zero;
+    bases within ANGLE_TOL of each other, modulo pi, coincide.
     """
     angles = [float(t) for t in angles]
     if not angles:
@@ -541,7 +528,7 @@ def rsp_payoff(angles, tol: float = 1e-9) -> RspReport:
     best = 1.0
     for i, j in itertools.combinations(range(len(angles)), 2):
         delta = angles[i] - angles[j]
-        if abs(math.remainder(delta, math.pi)) < tol:
+        if abs(math.remainder(delta, math.pi)) < ANGLE_TOL:
             return RspReport(0.0, (i, j))
         c, s = math.cos(delta / 2) ** 2, math.sin(delta / 2) ** 2
         best = min(best, c, s)

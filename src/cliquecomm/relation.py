@@ -183,7 +183,15 @@ class Relation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Relation":
-        return cls(int(data["n"]), int(data["omega"]), data["tuples"])
+        """Raises InvalidParamsError unless data holds nonnegative integers
+        n and omega and a tuple list."""
+        try:
+            n, omega, tuples = int(data["n"]), int(data["omega"]), data["tuples"]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParamsError(f"malformed relation: {exc}") from None
+        if n < 0 or omega < 0:
+            raise InvalidParamsError(f"malformed relation: n={n}, omega={omega}")
+        return cls(n, omega, tuples)
 
 
 def build_relation(g: Graph, cliques: CliqueSet) -> Relation:

@@ -32,14 +32,14 @@ float buffer.
 Every kernel holds a fixed number of round-sized arrays.  `simulate_rounds`
 writes its draws into the (k, 4) int64 array that its `RunLog` keeps, and
 `reconstruct` scatters that array into a relation mask through one flat
-cell index.  `mc_success_rate` holds, per chunk of trials, one (chunk, k)
-int64 array of block indices, each input draw folded into it as it
-arrives, and one (chunk, k) array of uniforms.  It then reads the rounds
-in windows, only for the trials still live: |R| rounds first, since no
-trial can show |R| tuples sooner, then windows doubling up to k.  A trial
-leaves as a success once it has shown every tuple; one still live after
-k rounds is a failure.  The draws, their order and the count are those
-of sampling every round of every trial.
+cell index.  `mc_success_rate` runs its trials in chunks of MC_CHUNK and
+holds, per chunk, one (MC_CHUNK, k) int64 array of block indices, each
+input draw folded into it as it arrives, and one (MC_CHUNK, k) array of
+uniforms.  It then reads the rounds in windows, only for the trials still
+live: |R| rounds first, since no trial can show |R| tuples sooner, then
+windows doubling up to k.  A trial leaves as a success once it has shown
+every tuple; one still live after k rounds is a failure.  The draws, their
+order and the count are those of sampling every round of every trial.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ from .relation import Relation, four_int_rows, infer_graph, slot_index
 from .tables import ProbTable, check_coverage
 
 GENERATOR = "pcg64"
+# Monte Carlo trials per chunk; the seeded stream depends on it
+MC_CHUNK = 512
 # the Stirling series of log j! - ((j + 1/2) log j - j + log(2 pi) / 2):
 # 1/(12 j) - 1/(360 j^3) + 1/(1260 j^5) - 1/(1680 j^7) + 1/(1188 j^9)
 STIRLING_SERIES = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
@@ -150,8 +152,6 @@ def simulate_rounds(table: ProbTable, k: int, seed: int) -> RunLog:
         raise InvalidParamsError("k must be nonnegative")
     n, omega = table.n, table.omega
     rng = np.random.default_rng(seed)
-    if k == 0:
-        return RunLog((), 0, seed)
     draw = _output_sampler(table)
     log = np.empty((k, 4), dtype=np.int64)
     x, a, y, b = log.T
@@ -306,15 +306,15 @@ def success_prob_exact(table: ProbTable, rel: Relation, k: int) -> float:
 
 
 def mc_success_rate(table: ProbTable, rel: Relation, k: int, trials: int,
-                    seed: int, chunk: int = 512) -> tuple[float, float]:
+                    seed: int) -> tuple[float, float]:
     """Monte-Carlo estimate of the reconstruction probability, with its
     binomial standard error.
 
-    Trials run in chunks of `chunk`; the seeded stream depends on it.  Each
-    chunk draws its inputs and uniforms as (chunk, k) arrays and holds two
-    of them, the folded block indices and the uniforms.  A trial leaves
-    once it has shown every tuple, checked after |R| rounds and then at
-    doubling round counts, so a chunk samples Bob's outputs only for the
+    Trials run in chunks of MC_CHUNK; the seeded stream depends on it.
+    Each chunk draws its inputs and uniforms as (MC_CHUNK, k) arrays and
+    holds two of them, the folded block indices and the uniforms.  A trial
+    leaves once it has shown every tuple, checked after |R| rounds and then
+    at doubling round counts, so a chunk samples Bob's outputs only for the
     rounds its trials need.  Without drawing, the rate is 0 when k < |R|
     (k rounds show at most k tuples) or when the table gives some
     admissible tuple probability zero, as in `success_prob_exact`."""
@@ -325,13 +325,13 @@ def mc_success_rate(table: ProbTable, rel: Relation, k: int, trials: int,
     if k < rel.size or not check_coverage(table, rel)[0]:
         rate = 0.0
     else:
-        rate = _mc_successes(table, rel, k, trials, seed, chunk) / trials
+        rate = _mc_successes(table, rel, k, trials, seed) / trials
     stderr = float(np.sqrt(max(rate * (1 - rate), 1e-12) / trials))
     return rate, stderr
 
 
 def _mc_successes(table: ProbTable, rel: Relation, k: int, trials: int,
-                  seed: int, chunk: int) -> int:
+                  seed: int) -> int:
     """Trials whose k rounds show every tuple of rel."""
     n, omega, size = rel.n, rel.omega, rel.size
     draw = _output_sampler(table)
@@ -369,7 +369,8 @@ def _mc_successes(table: ProbTable, rel: Relation, k: int, trials: int,
             start, stop = stop, min(2 * stop, k)
         return t - len(live)
 
-    return sum(successes(min(chunk, trials - done)) for done in range(0, trials, chunk))
+    return sum(successes(min(MC_CHUNK, trials - done))
+               for done in range(0, trials, MC_CHUNK))
 
 
 def payoff_vs_rounds_report(table: ProbTable, rel: Relation,

@@ -210,7 +210,7 @@ class ProbTable:
                 entries = [[Fraction(e) for e in row] for row in entries]
             else:
                 entries = np.asarray(entries, dtype=float)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             raise InvalidParamsError(f"malformed table: {exc}") from None
         return cls(n, omega, entries, kind=kind,
                    subnormalized=bool(data.get("subnormalized", False)))

@@ -486,7 +486,7 @@ def chain_overlap(g, cliques):
     return r if covered == set(g.vertices) else None
 
 
-def verify_representation(rep, g, tol=ORTHO_TOL):
+def verify_representation(rep, g):
     """(ok, violations), one vdot per vertex pair in row-major order."""
     violations = []
     for v in g.vertices:
@@ -494,19 +494,19 @@ def verify_representation(rep, g, tol=ORTHO_TOL):
             violations.append(("missing", v, None, None))
             continue
         norm = float(np.linalg.norm(rep.vector(v)))
-        if abs(norm - 1) > tol:
+        if abs(norm - 1) > ORTHO_TOL:
             violations.append(("norm", v, None, norm))
     if violations:
         return False, tuple(violations)
     for u, v in itertools.combinations(g.vertices, 2):
         ov = rep.overlap_sq(u, v)
         if g.adjacent(u, v):
-            if ov > tol:
+            if ov > ORTHO_TOL:
                 violations.append(("edge_not_orthogonal", u, v, ov))
         else:
-            if ov <= tol:
+            if ov <= ORTHO_TOL:
                 violations.append(("nonedge_orthogonal", u, v, ov))
-            elif abs(ov - 1) <= tol:
+            elif abs(ov - 1) <= ORTHO_TOL:
                 violations.append(("duplicate_vector", u, v, ov))
     return not violations, tuple(violations)
 

@@ -100,9 +100,7 @@ def test_criterion_5_paley_exactness():
 
         for q in (5, 13, 17, 29):
             assert cc.verify_character_square(q)
-            assert spectrum_matches(
-                adjacency_spectrum(q), expected_adjacency_spectrum(q), tol=1e-9
-            )
+            assert spectrum_matches(adjacency_spectrum(q), expected_adjacency_spectrum(q))
             report = cc.optimal_gram(q)
             assert report.rank == (q + 1) // 2
             assert abs(report.entry_sum - q ** 1.5) <= 1e-6

@@ -46,6 +46,7 @@ from cliquecomm import (
     sccr_protocol,
     simulate_rounds,
 )
+from cliquecomm import simulate
 from cliquecomm.relation import row_classes
 from cliquecomm.simulate import tuple_probabilities
 from conftest import consistency_oracle
@@ -378,7 +379,7 @@ def test_quantum_table_matches_triple_loop(family, d, completion):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("family", ["nncc(2,3,1)", "disconnected(3,2)", "paley(5)"])
-def test_simulation_matches_whole_row_gather(family):
+def test_simulation_matches_whole_row_gather(family, monkeypatch):
     g, cliques, rel = instance(FAMILIES[family]())
     exact = sccr_protocol(g, cliques, rel).table(rel.n, rel.omega)
     rep = build_representation(g, cliques, cliques.omega + 1)
@@ -389,7 +390,8 @@ def test_simulation_matches_whole_row_gather(family):
             assert simulate_rounds(table, k, seed).rounds == \
                 oracle.simulate_rounds(table, k, seed)
         for k, trials, chunk in [(0, 5, 512), (20, 40, 512), (60, 700, 256)]:
-            assert mc_success_rate(table, rel, k, trials, seed=7, chunk=chunk) == \
+            monkeypatch.setattr(simulate, "MC_CHUNK", chunk)
+            assert mc_success_rate(table, rel, k, trials, seed=7) == \
                 oracle.mc_success_rate(table, rel, k, trials, seed=7, chunk=chunk)
         input_p = 1.0 / (rel.n * rel.n * rel.omega)
         loop = [float(table.prob(*t)) * input_p for t in rel.tuples]
@@ -397,7 +399,7 @@ def test_simulation_matches_whole_row_gather(family):
 
 
 @pytest.mark.parametrize("family", ["nncc(2,3,1)", "disconnected(3,3)"])
-def test_sampler_matches_gather_on_subnormalized_tables(family):
+def test_sampler_matches_gather_on_subnormalized_tables(family, monkeypatch):
     # the residual of each block falls on its last output in both, also
     # where that output's entry is zero
     g, cliques, rel = instance(FAMILIES[family]())
@@ -406,13 +408,14 @@ def test_sampler_matches_gather_on_subnormalized_tables(family):
     assert (full == 0).any()
     assert simulate_rounds(table, 300, 4).rounds == oracle.simulate_rounds(table, 300, 4)
     k = rel.size + 40
-    assert mc_success_rate(table, rel, k, 300, seed=5, chunk=128) == \
+    monkeypatch.setattr(simulate, "MC_CHUNK", 128)
+    assert mc_success_rate(table, rel, k, 300, seed=5) == \
         oracle.mc_success_rate(table, rel, k, 300, seed=5, chunk=128)
 
 
 @pytest.mark.parametrize("subnormalized", [False, True])
 @pytest.mark.parametrize("k", [16, 17, 40, 54, 300, 1000])
-def test_mc_early_exit_matches_gather(chain5, k, subnormalized):
+def test_mc_early_exit_matches_gather(chain5, k, subnormalized, monkeypatch):
     # chain5 has |R| = 16 tuples, and about |R| H_|R| = 54 rounds show them
     # all: k = |R| is the first window alone, 17..54 stop mid-doubling with
     # trials still live, and k >> |R| lets every trial leave early; 300
@@ -423,7 +426,8 @@ def test_mc_early_exit_matches_gather(chain5, k, subnormalized):
         table = ProbTable(rel.n, rel.omega, 0.75 * table.as_float(), kind="float",
                           subnormalized=True)
     for seed, trials, chunk in [(7, 300, 128), (8, 300, 512), (9, 100, 1)]:
-        got = mc_success_rate(table, rel, k, trials, seed=seed, chunk=chunk)
+        monkeypatch.setattr(simulate, "MC_CHUNK", chunk)
+        got = mc_success_rate(table, rel, k, trials, seed=seed)
         assert got == oracle.mc_success_rate(table, rel, k, trials, seed=seed, chunk=chunk)
     if k in (40, 54):
         assert 0 < got[0] < 1  # some trials leave and some stay to the end

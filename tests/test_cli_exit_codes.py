@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliquecomm import CliquecommError, OrthogonalRepresentation, cli, gen_disconnected
+from cliquecomm import (
+    CliquecommError,
+    OrthogonalRepresentation,
+    cli,
+    gen_disconnected,
+    gen_nncc,
+    gen_paley,
+)
 from cliquecomm.cli import main
 
 C4 = {"order": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -44,6 +51,30 @@ def test_malformed_relation_tuples_exit_2(tmp_path, capsys, tuples):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("data", [
+    [1, 2],
+    "str",
+    {"n": "x", "omega": 2, "tuples": []},
+    {"n": None, "omega": 2, "tuples": []},
+    {"n": -1, "omega": 2, "tuples": []},
+    {"n": float("inf"), "omega": 2, "tuples": []},
+])
+def test_malformed_relation_file_exits_2(tmp_path, capsys, data):
+    rel = write(tmp_path, "rel.json", json.dumps(data))
+    code, err = run(capsys, "relation", "infer", "--in", rel)
+    assert code == 2 and err.startswith("error: malformed relation:")
+
+
+@pytest.mark.parametrize("name, graph, args", [
+    ("chain5.json", gen_nncc(2, 3, 1), []),
+    ("p13.json", gen_paley(13), ["--d", "7"]),
+])
+def test_negative_restarts_exit_2(tmp_path, capsys, name, graph, args):
+    g = write(tmp_path, name, graph.to_json())
+    code, err = run(capsys, "quantum", "optimize", "--in", g, "--restarts", "-3", *args)
+    assert code == 2 and err == "error: restarts=-3 is negative\n"
+
+
 def test_graph_check_without_input_exits_2(capsys):
     code, err = run(capsys, "graph", "check")
     assert code == 2 and err.startswith("error:")
@@ -69,6 +100,7 @@ def test_node_cap_exits_4(tmp_path, capsys):
     {"kind": "exact", "n": 1, "omega": 2, "entries": [["1/0", "0"], ["0", "1"]]},
     {"kind": "exact", "n": "a", "omega": 2, "entries": [["1", "0"], ["0", "1"]]},
     {"kind": "exact", "n": 1, "omega": 2, "entries": 5},
+    {"kind": "exact", "n": float("inf"), "omega": 2, "entries": [["1", "0"], ["0", "1"]]},
     [1, 2],
 ])
 def test_malformed_table_file_exits_2(tmp_path, capsys, table):
@@ -84,6 +116,7 @@ def test_malformed_table_file_exits_2(tmp_path, capsys, table):
     {"order": 3, "edges": [[1, "b"]]},
     {"order": 3, "edges": [5]},
     {"order": 3, "edges": 5},
+    {"order": float("inf"), "edges": []},
     [1, 2],
 ])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, graph):

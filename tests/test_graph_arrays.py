@@ -29,8 +29,9 @@ from cliquecomm.graphs import (
 )
 from cliquecomm.quantum import (
     OrthogonalRepresentation,
-    _chain_overlap,
-    _partitioned,
+    _build_chain,
+    _build_disconnected,
+    _closed_form,
     verify_representation,
 )
 from test_array_core import FAMILIES, PROPERTY, graphs
@@ -68,8 +69,9 @@ def check_structure(g):
         assert tuple(np.flatnonzero(member[:, v]) + 1) == cliques.cliques_containing(v)
     assert _covers_all_vertices(g, cliques) == oracle.covers_all_vertices(g, cliques)
     assert _pairs_distinguishable(g, cliques) == oracle.pairs_distinguishable(g, cliques)
-    assert _partitioned(g, cliques) == oracle.partitioned(g, cliques)
-    assert _chain_overlap(g, cliques) == oracle.chain_overlap(g, cliques)
+    builder = _closed_form(g, cliques)
+    assert (builder is _build_disconnected) == oracle.partitioned(g, cliques)
+    assert (builder is _build_chain) == (oracle.chain_overlap(g, cliques) is not None)
 
 
 def assert_same_verification(rep, g):

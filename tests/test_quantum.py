@@ -173,12 +173,19 @@ def test_optimize_rejects_small_dimension():
         optimize_payoff(g, cliques, 2)
 
 
-def test_optimize_general_path_uses_initial(chain5):
+def test_optimize_never_ends_below_the_constructed_start(chain5):
     g, cliques, _ = chain5
-    start = build_representation(g, cliques)
-    res = optimize_payoff(g, cliques, 3, initial_reps=(start,))
-    assert res.payoff >= representation_payoff(start, g) - 1e-15
-    assert verify_representation(res.rep, g).ok
+    start = build_representation(g, cliques, 3)
+    for restarts in (0, 32):
+        res = optimize_payoff(g, cliques, 3, restarts=restarts)
+        assert res.payoff >= representation_payoff(start, g)
+        assert verify_representation(res.rep, g).ok
+
+
+def test_optimize_rejects_negative_restarts(chain5):
+    g, cliques, _ = chain5
+    with pytest.raises(InvalidParamsError):
+        optimize_payoff(g, cliques, restarts=-1)
 
 
 def test_check_mub_pairs():

@@ -25,7 +25,7 @@ from cliquecomm import (
     simulate_rounds,
     success_prob_exact,
 )
-from cliquecomm.simulate import success_curve_csv, tuple_probabilities
+from cliquecomm.simulate import MC_CHUNK, success_curve_csv, tuple_probabilities
 
 
 def setup_graph(g):
@@ -258,11 +258,10 @@ def test_mc_holds_two_round_arrays_per_chunk(chain5):
     # gather; not one (chunk, k) temporary per draw and per step
     g, cliques, rel = chain5
     t = mixture_for_optimality(g, cliques, rel).table(rel.n, rel.omega)
-    chunk, k = 512, 1000
-    (rate, _), peak = traced_peak(lambda: mc_success_rate(t, rel, k, 10_000, seed=1,
-                                                          chunk=chunk))
+    k = 1000
+    (rate, _), peak = traced_peak(lambda: mc_success_rate(t, rel, k, 10_000, seed=1))
     assert rate == 1.0
-    assert peak <= 3 * chunk * k * 8
+    assert peak <= 3 * MC_CHUNK * k * 8
 
 
 def test_simulate_rounds_peak_is_a_small_multiple_of_its_log():

@@ -31,7 +31,7 @@ from cliquecomm import (
     quantum_table,
     sccr_protocol,
 )
-from cliquecomm.quantum import _build_chain, _build_disconnected, _chain_overlap, _partitioned
+from cliquecomm.quantum import _build_chain, _build_disconnected, _closed_form
 from cliquecomm.relation import selected_vertices
 from test_array_core import FAMILIES, PROPERTY, graphs, instance, same_outcome
 
@@ -54,14 +54,12 @@ def check_builders(g):
     """Both builders, on whichever structure g has, at omega and above it,
     with the generic unitary (attempt 0) and with random ones."""
     cliques = enumerate_maximum_cliques(g)
-    if _partitioned(g, cliques):
-        pairs = [(_build_disconnected, oracle.build_disconnected)]
-    elif _chain_overlap(g, cliques) is not None:
-        pairs = [(_build_chain, oracle.build_chain)]
-    else:
+    build = _closed_form(g, cliques)
+    if build is None:
         return
-    for (build, loop), d, attempt in itertools.product(
-            pairs, (cliques.omega, cliques.omega + 2), (0, 3)):
+    loop = {_build_disconnected: oracle.build_disconnected,
+            _build_chain: oracle.build_chain}[build]
+    for d, attempt in itertools.product((cliques.omega, cliques.omega + 2), (0, 3)):
         rep = build(g, cliques, d, attempt, np.random.default_rng((5, attempt)))
         vectors = loop(g, cliques, d, attempt, np.random.default_rng((5, attempt)))
         assert rep.vectors.shape == (g.order, d) and not rep.vectors.flags.writeable
