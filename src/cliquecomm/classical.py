@@ -477,28 +477,21 @@ def mixture_for_optimality(
 # ---------------------------------------------------------------------------
 
 def is_orthogonal_array(rows) -> bool:
-    """Whether every pair of columns carries all four binary pairs equally often."""
+    """Whether every pair of columns carries all four binary pairs equally often.
+
+    With S = 1 - 2 rows (entries +-1), k >= 2 binary columns form such an
+    array exactly when every column of S sums to zero and S^T S = N I.
+    """
     rows = [tuple(int(x) for x in r) for r in rows]
-    if not rows:
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
         return False
-    k = len(rows[0])
-    if any(len(r) != k for r in rows):
+    a = np.array(rows, dtype=np.int64)
+    if not np.isin(a, (0, 1)).all():
         return False
-    if any(x not in (0, 1) for r in rows for x in r):
-        return False
-    n_rows = len(rows)
-    if k < 2:
-        return True  # no column pair to constrain
-    if n_rows % 4:
-        return False
-    lam = n_rows // 4
-    for c1, c2 in itertools.combinations(range(k), 2):
-        counts = [0, 0, 0, 0]
-        for r in rows:
-            counts[2 * r[c1] + r[c2]] += 1
-        if any(c != lam for c in counts):
-            return False
-    return True
+    s = 1 - 2 * a
+    k = a.shape[1]
+    return k < 2 or (not s.sum(axis=0).any()
+                     and np.array_equal(s.T @ s, len(a) * np.eye(k, dtype=np.int64)))
 
 
 def _conference(q: int, sign: int) -> np.ndarray:

@@ -36,7 +36,6 @@ from .errors import (
     UnverifiedRepresentationError,
 )
 from .graphs import (
-    CliqueSet,
     Graph,
     check_conditions,
     enumerate_maximum_cliques,
@@ -122,27 +121,22 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _graph_from_args(args) -> Graph:
-    if getattr(args, "infile", None):
-        return Graph.from_json(_load_json(args.infile))
-    fam = args.family
-    if fam == "disconnected":
-        return gen_disconnected(args.n, args.omega)
-    if fam == "nncc":
-        return gen_nncc(args.n, args.omega, args.r)
-    if fam == "paley":
-        return gen_paley(args.q)
-    raise InvalidParamsError(f"unknown family {fam!r}")
+def _instance(path: str):
+    """The graph in a file, its maximum cliques and the relation they induce."""
+    g = Graph.from_json(_load_json(path))
+    cliques = enumerate_maximum_cliques(g)
+    return g, cliques, build_relation(g, cliques)
 
 
-def cmd_graph(args) -> None:
-    if args.action == "gen":
-        g = _graph_from_args(args)
-        _emit(args, g.to_json(), {"family": args.family, "n": args.n,
-                                  "omega": args.omega, "r": args.r, "q": args.q})
-        return
-    if not args.infile:
-        raise InvalidParamsError("graph check needs --in")
+def cmd_graph_gen(args) -> None:
+    g = {"disconnected": lambda: gen_disconnected(args.n, args.omega),
+         "nncc": lambda: gen_nncc(args.n, args.omega, args.r),
+         "paley": lambda: gen_paley(args.q)}[args.family]()
+    _emit(args, g.to_json(), {"family": args.family, "n": args.n,
+                              "omega": args.omega, "r": args.r, "q": args.q})
+
+
+def cmd_graph_check(args) -> None:
     g = Graph.from_json(_load_json(args.infile))
     cliques = enumerate_maximum_cliques(g)
     report = check_conditions(g, cliques)
@@ -155,13 +149,11 @@ def cmd_graph(args) -> None:
     }, {"in": args.infile})
 
 
-def cmd_relation(args) -> None:
-    if args.action == "build":
-        g = Graph.from_json(_load_json(args.infile))
-        cliques = enumerate_maximum_cliques(g)
-        rel = build_relation(g, cliques)
-        _emit(args, rel.to_json(), {"in": args.infile})
-        return
+def cmd_relation_build(args) -> None:
+    _emit(args, _instance(args.infile)[2].to_json(), {"in": args.infile})
+
+
+def cmd_relation_infer(args) -> None:
     rel = Relation.from_json(_load_json(args.infile))
     g, classes = infer_graph(rel, rel.n, rel.omega)
     payload = g.to_json()
@@ -169,29 +161,31 @@ def cmd_relation(args) -> None:
     _emit(args, payload, {"in": args.infile})
 
 
-def cmd_complexity(args) -> None:
-    g = Graph.from_json(_load_json(args.infile))
-    cliques = enumerate_maximum_cliques(g)
-    rel = build_relation(g, cliques)
-    if args.action == "ccr":
-        strategy = ccr_protocol(g, cliques, rel)
-        payload = {"ccr_messages": strategy.m, "strategy": strategy.to_json()}
-    elif args.action == "sccr":
-        strategy = sccr_protocol(g, cliques, rel)
-        report = table_payoff(strategy.table(rel.n, rel.omega), rel)
-        payload = {
-            "sccr_messages": strategy.m,
-            "payoff": float(report.value),
-            "strategy": strategy.to_json(),
-        }
-    else:
-        payload = {
-            "m": args.m,
-            "no_protocol_with_m_messages": verify_classical_lower_bound(
-                g, cliques, rel, args.m
-            ),
-        }
-    _emit(args, payload, {"in": args.infile, "m": args.m})
+def cmd_ccr(args) -> None:
+    strategy = ccr_protocol(*_instance(args.infile))
+    # ccr and sccr read no --m; their provenance records m = 0
+    _emit(args, {"ccr_messages": strategy.m, "strategy": strategy.to_json()},
+          {"in": args.infile, "m": 0})
+
+
+def cmd_sccr(args) -> None:
+    g, cliques, rel = _instance(args.infile)
+    strategy = sccr_protocol(g, cliques, rel)
+    report = table_payoff(strategy.table(rel.n, rel.omega), rel)
+    _emit(args, {
+        "sccr_messages": strategy.m,
+        "payoff": float(report.value),
+        "strategy": strategy.to_json(),
+    }, {"in": args.infile, "m": 0})
+
+
+def cmd_lowerbound(args) -> None:
+    _emit(args, {
+        "m": args.m,
+        "no_protocol_with_m_messages": verify_classical_lower_bound(
+            *_instance(args.infile), args.m
+        ),
+    }, {"in": args.infile, "m": args.m})
 
 
 def _rsp_angles(text: str) -> tuple[float, ...]:
@@ -227,66 +221,69 @@ def _mub_bases(data) -> tuple[list, int]:
     return mats, d
 
 
-def cmd_quantum(args) -> None:
-    if args.action == "rsp":
-        if args.symmetric:
-            angles = symmetric_equatorial_angles(args.n)
-        else:
-            angles = _rsp_angles(args.angles)
-        report = rsp_payoff(angles)
-        _emit(args, {"payoff": report.payoff,
-                     "duplicate": report.duplicate_pair is not None},
-              {"n": args.n, "symmetric": args.symmetric})
-        return
-    if not args.infile:
-        raise InvalidParamsError(f"quantum {args.action} needs --in")
-    if args.action == "mub":
-        mats, d = _mub_bases(_load_json(args.infile))
-        _emit(args, {"mub": check_mub(mats, d, tol=args.tol)}, {"in": args.infile})
-        return
-    g = Graph.from_json(_load_json(args.infile))
-    cliques = enumerate_maximum_cliques(g)
-    rel = build_relation(g, cliques)
-    if args.action == "table":
-        rep = build_representation(g, cliques, args.d or None, seed=args.seed)
-        strategy = QuantumStrategy.create(rep, g, cliques)
-        table = quantum_table(strategy, rel)
-        report = table_payoff(table, rel)
-        payload = {
-            "dimension": rep.d,
-            "payoff": float(report.value),
-            "table": table.to_json(),
-            "representation": rep.to_json(),
-        }
-    else:  # optimize
-        result = optimize_payoff(g, cliques, args.d or None, restarts=args.restarts,
-                                 seed=args.seed)
-        rep = result.rep
-        payload = {
-            "dimension": rep.d,
-            "payoff": result.payoff,
-            "lower_bound_only": True,
-            "representation_payoff": representation_payoff(rep, g),
-        }
-    _emit(args, payload, {"in": args.infile, "d": rep.d})
+def cmd_quantum_table(args) -> None:
+    g, cliques, rel = _instance(args.infile)
+    rep = build_representation(g, cliques, args.d or None, seed=args.seed)
+    table = quantum_table(QuantumStrategy.create(rep, g, cliques), rel)
+    _emit(args, {
+        "dimension": rep.d,
+        "payoff": float(table_payoff(table, rel).value),
+        "table": table.to_json(),
+        "representation": rep.to_json(),
+    }, {"in": args.infile, "d": rep.d})
 
 
-def cmd_simulate(args) -> None:
-    g = Graph.from_json(_load_json(args.infile))
-    cliques = enumerate_maximum_cliques(g)
-    rel = build_relation(g, cliques)
-    if args.table:
-        table = ProbTable.from_json(_load_json(args.table))
-    elif args.mixture == "coverage":
-        table = mixture_for_coverage(g, cliques, rel).table(rel.n, rel.omega)
-    elif args.mixture == "optimal":
-        table = mixture_for_optimality(g, cliques, rel).table(rel.n, rel.omega)
+def cmd_quantum_optimize(args) -> None:
+    g, cliques, _ = _instance(args.infile)
+    result = optimize_payoff(g, cliques, args.d or None, restarts=args.restarts,
+                             seed=args.seed)
+    _emit(args, {
+        "dimension": result.rep.d,
+        "payoff": result.payoff,
+        "lower_bound_only": True,
+        "representation_payoff": representation_payoff(result.rep, g),
+    }, {"in": args.infile, "d": result.rep.d})
+
+
+def cmd_mub(args) -> None:
+    mats, d = _mub_bases(_load_json(args.infile))
+    _emit(args, {"mub": check_mub(mats, d, tol=args.tol)}, {"in": args.infile})
+
+
+def cmd_rsp(args) -> None:
+    if args.symmetric:
+        angles = symmetric_equatorial_angles(args.n)
     else:
-        table = sccr_protocol(g, cliques, rel).table(rel.n, rel.omega)
-    if args.action == "run":
-        log = simulate_rounds(table, args.k, args.seed)
-        _emit_text(args, log.to_csv())
-        return
+        angles = _rsp_angles(args.angles)
+    report = rsp_payoff(angles)
+    _emit(args, {"payoff": report.payoff, "duplicate": report.duplicate_pair is not None},
+          {"n": args.n, "symmetric": args.symmetric})
+
+
+def cmd_paley(args) -> None:
+    _emit(args, paley_analyze(args.q), {"q": args.q})
+
+
+def _sim_table(args):
+    g, cliques, rel = _instance(args.infile)
+    if args.table:
+        return ProbTable.from_json(_load_json(args.table)), rel
+    if args.mixture == "coverage":
+        strategy = mixture_for_coverage(g, cliques, rel)
+    elif args.mixture == "optimal":
+        strategy = mixture_for_optimality(g, cliques, rel)
+    else:
+        strategy = sccr_protocol(g, cliques, rel)
+    return strategy.table(rel.n, rel.omega), rel
+
+
+def cmd_simulate_run(args) -> None:
+    table, _ = _sim_table(args)
+    _emit_text(args, simulate_rounds(table, args.k, args.seed).to_csv())
+
+
+def cmd_simulate_success(args) -> None:
+    table, rel = _sim_table(args)
     try:
         k_grid = [int(k) for k in args.k_grid.split(",")]
     except ValueError:
@@ -300,73 +297,86 @@ def cmd_simulate(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per action, holding only the flags its handler reads."""
     parser = argparse.ArgumentParser(
         prog="cliquecomm",
         description="clique-labelling communication games: graphs, relations, protocols",
+        allow_abbrev=False,
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    # the same globals are accepted after the subcommand; SUPPRESS keeps an
-    # omitted flag from clobbering a value given before it
+    # the same globals are accepted after the action; SUPPRESS keeps an
+    # omitted flag from clobbering a value given before the command
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    p_graph = sub.add_parser("graph", help="generate or check graphs", parents=[common])
-    p_graph.add_argument("action", choices=["gen", "check"])
-    p_graph.add_argument("--family", choices=["disconnected", "nncc", "paley"])
-    p_graph.add_argument("--n", type=int, default=2)
-    p_graph.add_argument("--omega", type=int, default=2)
-    p_graph.add_argument("--r", type=int, default=1)
-    p_graph.add_argument("--q", type=int, default=5)
-    p_graph.add_argument("--in", dest="infile")
-    p_graph.set_defaults(func=cmd_graph)
+    def command(name, summary):
+        return commands.add_parser(name, help=summary).add_subparsers(dest="action", required=True)
 
-    p_rel = sub.add_parser("relation", parents=[common], help="build or invert relations")
-    p_rel.add_argument("action", choices=["build", "infer"])
-    p_rel.add_argument("--in", dest="infile", required=True)
-    p_rel.set_defaults(func=cmd_relation)
+    def action(actions, name, func, infile=None):
+        """An action's parser; infile None adds no --in, else whether it is required."""
+        # no abbreviations: simulate success would take --k for --k-grid
+        p = actions.add_parser(name, parents=[common], allow_abbrev=False)
+        p.set_defaults(func=func)
+        if infile is not None:
+            p.add_argument("--in", dest="infile", metavar="FILE", required=infile)
+        return p
 
-    p_cx = sub.add_parser("complexity", parents=[common], help="classical protocol analysis")
-    p_cx.add_argument("action", choices=["ccr", "sccr", "lowerbound"])
-    p_cx.add_argument("--in", dest="infile", required=True)
-    p_cx.add_argument("--m", type=int, default=0)
-    p_cx.set_defaults(func=cmd_complexity)
+    graph = command("graph", "generate or check graphs")
+    p = action(graph, "gen", cmd_graph_gen)
+    p.add_argument("--family", choices=["disconnected", "nncc", "paley"], required=True)
+    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--omega", type=int, default=2)
+    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--q", type=int, default=5)
+    action(graph, "check", cmd_graph_check, infile=False)
 
-    p_q = sub.add_parser("quantum", parents=[common], help="quantum strategies and analyses")
-    p_q.add_argument("action", choices=["table", "optimize", "mub", "rsp"])
-    p_q.add_argument("--in", dest="infile")
-    p_q.add_argument("--d", type=int, default=0)
-    p_q.add_argument("--tol", type=float, default=1e-9, help="overlap tolerance of mub")
-    p_q.add_argument("--n", type=int, default=4)
-    p_q.add_argument("--restarts", type=int, default=32)
-    p_q.add_argument("--symmetric", action="store_true")
-    p_q.add_argument("--angles", default="")
-    p_q.set_defaults(func=cmd_quantum)
+    relation = command("relation", "build or invert relations")
+    action(relation, "build", cmd_relation_build, infile=True)
+    action(relation, "infer", cmd_relation_infer, infile=True)
 
-    p_paley = sub.add_parser("paley", parents=[common], help="Paley graph analysis")
-    p_paley.add_argument("action", choices=["analyze"])
-    p_paley.add_argument("--q", type=int, required=True)
-    p_paley.set_defaults(func=lambda args: _emit(args, paley_analyze(args.q),
-                                                 {"q": args.q}))
+    complexity = command("complexity", "classical protocol analysis")
+    action(complexity, "ccr", cmd_ccr, infile=True)
+    action(complexity, "sccr", cmd_sccr, infile=True)
+    action(complexity, "lowerbound", cmd_lowerbound, infile=True).add_argument(
+        "--m", type=int, default=0)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="round simulation and success curves")
-    p_sim.add_argument("action", choices=["run", "success"])
-    p_sim.add_argument("--in", dest="infile", required=True)
-    p_sim.add_argument("--table", default=None, help="table JSON (default: sccr table)")
-    p_sim.add_argument("--mixture", choices=["coverage", "optimal"], default=None)
-    p_sim.add_argument("--k", type=int, default=100)
-    p_sim.add_argument("--k-grid", default="50,200,1000")
-    p_sim.add_argument("--trials", type=int, default=0)
-    p_sim.set_defaults(func=cmd_simulate)
+    quantum = command("quantum", "quantum strategies and analyses")
+    table = action(quantum, "table", cmd_quantum_table, infile=False)
+    optimize = action(quantum, "optimize", cmd_quantum_optimize, infile=False)
+    for p in (table, optimize):
+        p.add_argument("--d", type=int, default=0)
+    optimize.add_argument("--restarts", type=int, default=32)
+    action(quantum, "mub", cmd_mub, infile=False).add_argument(
+        "--tol", type=float, default=1e-9, help="overlap tolerance")
+    p = action(quantum, "rsp", cmd_rsp)
+    p.add_argument("--n", type=int, default=4)
+    angles = p.add_mutually_exclusive_group(required=True)
+    angles.add_argument("--symmetric", action="store_true")
+    angles.add_argument("--angles")
+
+    action(command("paley", "Paley graph analysis"), "analyze", cmd_paley).add_argument(
+        "--q", type=int, required=True)
+
+    simulate = command("simulate", "round simulation and success curves")
+    run = action(simulate, "run", cmd_simulate_run, infile=True)
+    success = action(simulate, "success", cmd_simulate_success, infile=True)
+    for p in (run, success):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--table", help="table JSON (default: sccr table)")
+        source.add_argument("--mixture", choices=["coverage", "optimal"])
+    run.add_argument("--k", type=int, default=100)
+    success.add_argument("--k-grid", default="50,200,1000")
+    success.add_argument("--trials", type=int, default=0)
     return parser
 
 
 # (exception types, exit code, message prefix), matched in order; exit 0 is
 # success and argparse exits 2 on a malformed command line
 FAILURES = (
-    ((InvalidParamsError, FileNotFoundError, KeyError), 2, "error"),
+    ((InvalidParamsError, OSError, KeyError), 2, "error"),
     (InconsistentRelationError, 3, "inconsistent"),
     (CapExceededError, 4, "cap exceeded"),
     (SearchExhaustedError, 5, "search exhausted"),
@@ -374,7 +384,7 @@ FAILURES = (
     (EmptyGraphError, 7, "empty graph"),
     (ConstructionFailedError, 8, "construction failed"),
     (UnverifiedRepresentationError, 9, "unverified representation"),
-    (json.JSONDecodeError, 10, "malformed JSON"),
+    ((json.JSONDecodeError, UnicodeDecodeError), 10, "malformed JSON"),
     (CliquecommError, 11, "error"),
 )
 
@@ -383,8 +393,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an optional --in (graph check, quantum table|optimize|mub) left out
+        # is a parameter error
+        if getattr(args, "infile", "") is None:
+            raise InvalidParamsError(f"{args.command} {args.action} needs --in")
         args.func(args)
-    except (CliquecommError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (CliquecommError, OSError, KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         for types, code, label in FAILURES:
             if isinstance(exc, types):
                 print(f"{label}: {exc}", file=sys.stderr)

@@ -138,17 +138,6 @@ class CliqueSet:
             i for i, c in enumerate(self.cliques, start=1) if v in c
         )
 
-    def to_json(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "omega": self.omega,
-            "cliques": [list(c) for c in self.cliques],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CliqueSet":
-        return cls(int(data["omega"]), tuple(tuple(c) for c in data["cliques"]))
-
 
 @dataclass(frozen=True)
 class ConditionReport:

@@ -104,13 +104,15 @@ def verify_representation(rep: OrthogonalRepresentation, g: Graph) -> Verificati
 
     Faithfulness means non-adjacent distinct vertices have nonzero overlap;
     vectors equal up to a global phase also fail, since distinct vertices
-    must carry distinct states.  A vertex past the last row is missing.
-    Every comparison allows ORTHO_TOL.
+    must carry distinct states.  A vertex past the last row is missing, and
+    a vector with a NaN or infinite entry fails the norm check.  Every
+    comparison allows ORTHO_TOL.
     """
     vecs = rep.vectors[:g.order]
-    norms = np.linalg.norm(vecs, axis=1).tolist()
+    with np.errstate(invalid="ignore"):  # inf * 0 in an infinite entry's square
+        norms = np.linalg.norm(vecs, axis=1).tolist()
     violations = [("norm", v, None, norm) for v, norm in enumerate(norms, start=1)
-                  if abs(norm - 1) > ORTHO_TOL]
+                  if not abs(norm - 1) <= ORTHO_TOL]
     violations += [("missing", v, None, None) for v in range(len(vecs) + 1, g.order + 1)]
     if violations:
         return VerificationReport(False, tuple(violations))

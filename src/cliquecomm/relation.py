@@ -183,13 +183,13 @@ class Relation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Relation":
-        """Raises InvalidParamsError unless data holds nonnegative integers
+        """Raises InvalidParamsError unless data holds positive integers
         n and omega and a tuple list."""
         try:
             n, omega, tuples = int(data["n"]), int(data["omega"]), data["tuples"]
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidParamsError(f"malformed relation: {exc}") from None
-        if n < 0 or omega < 0:
+        if n < 1 or omega < 1:
             raise InvalidParamsError(f"malformed relation: n={n}, omega={omega}")
         return cls(n, omega, tuples)
 

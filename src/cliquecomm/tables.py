@@ -245,7 +245,6 @@ class PayoffReport:
     witness: tuple[int, int, int, int]
     max_valid_outputs: int
     upper_bound: Fraction
-    consistent: bool
 
 
 def _tuple_at(omega: int, r: int, c: int) -> tuple[int, int, int, int]:
@@ -285,8 +284,7 @@ def payoff(table: ProbTable, rel: Relation) -> PayoffReport:
         r, c = divmod(flat, rel.n * rel.omega)
         best, witness = table.entry_by_index(r, c), _tuple_at(rel.omega, r, c)
     eta = rel.max_valid_outputs()
-    ok, _ = check_consistency(table, rel)
-    return PayoffReport(best, witness, eta, Fraction(1, eta), ok)
+    return PayoffReport(best, witness, eta, Fraction(1, eta))
 
 
 def check_optimality(table: ProbTable, rel: Relation) -> bool:

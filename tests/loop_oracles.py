@@ -81,15 +81,15 @@ def check_coverage(table, rel):
 
 
 def payoff(table, rel):
-    """(value, witness, max valid outputs, consistent): the first strict
-    minimum over the tuples in lexicographic order."""
+    """(value, witness, max valid outputs): the first strict minimum over
+    the tuples in lexicographic order."""
     best = None
     witness = None
     for t in rel.tuples:
         v = table.prob(*t)
         if best is None or v < best:
             best, witness = v, t
-    return best, witness, max_valid_outputs(rel), check_consistency(table, rel)[0]
+    return best, witness, max_valid_outputs(rel)
 
 
 def validate(n, omega, entries, kind, subnormalized=False):
@@ -494,7 +494,7 @@ def verify_representation(rep, g):
             violations.append(("missing", v, None, None))
             continue
         norm = float(np.linalg.norm(rep.vector(v)))
-        if abs(norm - 1) > ORTHO_TOL:
+        if not abs(norm - 1) <= ORTHO_TOL:
             violations.append(("norm", v, None, norm))
     if violations:
         return False, tuple(violations)
@@ -680,6 +680,32 @@ def classical_lower_bound(rel, m):
         return False
 
     return not place(0, [])
+
+
+def is_orthogonal_array(rows):
+    """Whether every pair of columns carries all four binary pairs equally
+    often, counted one column pair and one row at a time."""
+    rows = [tuple(int(x) for x in r) for r in rows]
+    if not rows:
+        return False
+    k = len(rows[0])
+    if any(len(r) != k for r in rows):
+        return False
+    if any(x not in (0, 1) for r in rows for x in r):
+        return False
+    n_rows = len(rows)
+    if k < 2:
+        return True  # no column pair to constrain
+    if n_rows % 4:
+        return False
+    lam = n_rows // 4
+    for c1, c2 in itertools.combinations(range(k), 2):
+        counts = [0, 0, 0, 0]
+        for r in rows:
+            counts[2 * r[c1] + r[c2]] += 1
+        if any(c != lam for c in counts):
+            return False
+    return True
 
 
 def oa_exists(n_rows, k):

@@ -10,6 +10,7 @@ the generator families by parametrization.
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -143,6 +144,23 @@ def test_min_oa_rows_meets_rao_bound(k):
     rows = _orthogonal_array(k)
     assert min_oa_rows(k) == len(rows) == 4 * -(-(k + 1) // 4)
     assert rows.shape[1] == k and is_orthogonal_array(rows)
+
+
+def test_is_orthogonal_array_matches_pair_loop():
+    # random arrays up to 12 x 6, every fifth with entries up to 2, and each
+    # constructed array as built, without its last row and with one entry flipped
+    rng = np.random.default_rng(0)
+    arrays = [rng.integers(0, 3 if i % 5 == 0 else 2,
+                           size=(rng.integers(1, 13), rng.integers(2, 7)))
+              for i in range(2000)]
+    for k in range(2, 48):
+        rows = _orthogonal_array(k)
+        flipped = rows.copy()
+        flipped[rng.integers(len(rows)), rng.integers(k)] ^= 1
+        arrays += [rows, rows[:-1], flipped]
+    verdicts = [is_orthogonal_array(rows) for rows in arrays]
+    assert verdicts == [oracle.is_orthogonal_array(rows) for rows in arrays]
+    assert sum(verdicts[:2000]) > 0 and sum(verdicts[2000:]) == 46
 
 
 @pytest.mark.parametrize("k", range(2, 7))

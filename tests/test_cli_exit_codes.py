@@ -1,5 +1,6 @@
 """One test per documented CLI exit code: a message on stderr, no traceback."""
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -38,6 +39,16 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "check", "--in", "."],
+    ["graph", "gen", "--family", "paley", "--q", "13", "--out", "."],
+])
+def test_directory_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, err = run(capsys, *argv)
+    assert code == 2 and err.startswith("error: [Errno 21] Is a directory")
+
+
 @pytest.mark.parametrize("tuples", [
     [[1, 0, 1], [1, 1, 1], [2, 0, 2], [2, 1, 2]],
     [1, 0, 1, 0],
@@ -58,6 +69,8 @@ def test_malformed_relation_tuples_exit_2(tmp_path, capsys, tuples):
     {"n": None, "omega": 2, "tuples": []},
     {"n": -1, "omega": 2, "tuples": []},
     {"n": float("inf"), "omega": 2, "tuples": []},
+    {"n": 0, "omega": 2, "tuples": []},
+    {"n": 2, "omega": 0, "tuples": []},
 ])
 def test_malformed_relation_file_exits_2(tmp_path, capsys, data):
     rel = write(tmp_path, "rel.json", json.dumps(data))
@@ -196,6 +209,13 @@ def test_malformed_json_exits_10(tmp_path, capsys):
     assert code == 10 and err.startswith("malformed JSON:")
 
 
+def test_json_file_that_is_not_utf8_exits_10(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": "\xff"}')
+    code, err = run(capsys, "graph", "check", "--in", str(path))
+    assert code == 10 and err.startswith("malformed JSON: 'utf-8' codec can't decode")
+
+
 def test_other_package_error_exits_11(capsys, monkeypatch):
     def fail(q):
         raise CliquecommError("unclassified failure")
@@ -222,3 +242,103 @@ def test_malformed_command_line_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+# the flags each action reads, besides the global --seed and --out
+ACTION_FLAGS = {
+    ("graph", "gen"): ["--family", "--n", "--omega", "--r", "--q"],
+    ("graph", "check"): ["--in"],
+    ("relation", "build"): ["--in"],
+    ("relation", "infer"): ["--in"],
+    ("complexity", "ccr"): ["--in"],
+    ("complexity", "sccr"): ["--in"],
+    ("complexity", "lowerbound"): ["--in", "--m"],
+    ("quantum", "table"): ["--in", "--d"],
+    ("quantum", "optimize"): ["--in", "--d", "--restarts"],
+    ("quantum", "mub"): ["--in", "--tol"],
+    ("quantum", "rsp"): ["--n", "--symmetric", "--angles"],
+    ("paley", "analyze"): ["--q"],
+    ("simulate", "run"): ["--in", "--table", "--mixture", "--k"],
+    ("simulate", "success"): ["--in", "--table", "--mixture", "--k-grid", "--trials"],
+}
+# every flag of a command, once accepted by each of its actions
+COMMAND_FLAGS = {
+    "graph": {"--family", "--n", "--omega", "--r", "--q", "--in"},
+    "relation": {"--in"},
+    "complexity": {"--in", "--m"},
+    "quantum": {"--in", "--d", "--tol", "--n", "--restarts", "--symmetric", "--angles"},
+    "paley": {"--q"},
+    "simulate": {"--in", "--table", "--mixture", "--k", "--k-grid", "--trials"},
+}
+DROPPED = sorted((command, action, flag) for (command, action), flags in ACTION_FLAGS.items()
+                 for flag in COMMAND_FLAGS[command] - set(flags))
+VALUE = {"--in": ["g.json"], "--family": ["paley"], "--n": ["2"], "--omega": ["2"],
+         "--r": ["1"], "--q": ["5"], "--m": ["3"], "--d": ["2"], "--tol": ["0.1"],
+         "--restarts": ["4"], "--symmetric": [], "--angles": ["0,1"], "--k": ["10"],
+         "--k-grid": ["10"], "--trials": ["10"], "--table": ["t.json"],
+         "--mixture": ["optimal"]}
+# flags that make each action's command line complete
+REQUIRED = {("graph", "gen"): ["--family"], ("quantum", "rsp"): ["--symmetric"],
+            ("paley", "analyze"): ["--q"], ("relation", "build"): ["--in"],
+            ("relation", "infer"): ["--in"], ("complexity", "ccr"): ["--in"],
+            ("complexity", "sccr"): ["--in"], ("complexity", "lowerbound"): ["--in"],
+            ("simulate", "run"): ["--in"], ("simulate", "success"): ["--in"]}
+
+
+def walk(parser):
+    """(command, action) -> the flags of that action's parser, but for
+    --help and the globals, walked from the nested subparsers."""
+    def subparsers(p):
+        return next(a for a in p._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    return {(command, action): [flag for a in ap._actions for flag in a.option_strings
+                                if flag not in ("-h", "--help", "--seed", "--out")]
+            for command, cp in subparsers(parser).items()
+            for action, ap in subparsers(cp).items()}
+
+
+def test_each_action_parses_only_the_flags_it_reads():
+    assert walk(cli.build_parser()) == ACTION_FLAGS
+    assert sum(map(len, ACTION_FLAGS.values())) == 32 and len(DROPPED) == 29
+
+
+def argv_of(command, action, *flags):
+    return [command, action] + [t for flag in (*REQUIRED.get((command, action), []), *flags)
+                                for t in [flag, *VALUE[flag]]]
+
+
+@pytest.mark.parametrize("command, action", sorted(ACTION_FLAGS))
+def test_globals_go_before_the_command_or_after_the_action(command, action):
+    parser = cli.build_parser()
+    argv = argv_of(command, action)
+    for args in (parser.parse_args(["--seed", "3", "--out", "o", *argv]),
+                 parser.parse_args([*argv, "--seed", "3", "--out", "o"])):
+        assert (args.seed, args.out) == (3, "o")
+
+
+@pytest.mark.parametrize("command, action, flag", DROPPED)
+def test_flag_the_action_does_not_read_exits_2(capsys, command, action, flag):
+    with pytest.raises(SystemExit) as info:
+        main(argv_of(command, action, flag))
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, action, flags", [
+    ("simulate", "run", ["--table", "--mixture"]),
+    ("simulate", "success", ["--table", "--mixture"]),
+    ("quantum", "rsp", ["--angles"]),  # --symmetric is given as the required flag
+])
+def test_exclusive_flags_together_exit_2(capsys, command, action, flags):
+    with pytest.raises(SystemExit) as info:
+        main(argv_of(command, action, *flags))
+    assert info.value.code == 2 and "not allowed with argument" in capsys.readouterr().err
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+) (\w+)` \| (.*) \|$", section, re.M)
+    listed = {(command, action): re.findall(r"`(--[\w-]+)", flags)
+              for command, action, flags in rows}
+    assert listed == walk(cli.build_parser())

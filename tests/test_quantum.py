@@ -138,6 +138,18 @@ def test_quantum_table_requires_verified_strategy():
         quantum_table(unverified, rel)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vector_fails_verification(bad):
+    g, cliques, _ = setup_graph(gen_disconnected(2, 2))
+    vecs = np.array(build_representation(g, cliques, seed=0).vectors)
+    vecs[1] = bad
+    rep = OrthogonalRepresentation(vecs)
+    report = verify_representation(rep, g)
+    assert not report.ok and [v[:3] for v in report.violations] == [("norm", 2, None)]
+    with pytest.raises(UnverifiedRepresentationError):
+        QuantumStrategy.create(rep, g, cliques)
+
+
 def test_coverage_fails_without_faithfulness():
     # force the table through with an unfaithful representation: the zero
     # cross overlap shows up as a missing admissible entry
