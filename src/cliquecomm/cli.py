@@ -13,8 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
+
+import numpy as np
 
 from . import __version__
 from .classical import (
@@ -54,7 +57,7 @@ from .quantum import (
     rsp_payoff,
     symmetric_equatorial_angles,
 )
-from .relation import Relation, build_relation, infer_graph
+from .relation import Relation, build_relation, infer_graph, int_rows_text
 from .simulate import (
     mc_success_rate,
     payoff_vs_rounds_report,
@@ -79,16 +82,31 @@ def dumps_canonical(obj) -> str:
 
     The C encoder writes the document; each float it wrote as its repr is
     then rewritten as format(x, ".17g"), and Infinity, -Infinity and NaN
-    as inf, -inf and nan.  Values other than dicts, lists, tuples, str,
-    int, float, bool and None raise TypeError.
+    as inf, -inf and nan.  A 2-D integer ndarray is written as its
+    .tolist() would be, by `int_rows_text`: the encoder leaves a marker
+    string in its place, replaced afterwards.  Values other than dicts,
+    lists, tuples, str, int, float, bool, None and those arrays raise
+    TypeError.
     """
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    arrays = {}
+    nonce = os.urandom(8).hex()
+
+    def marker(value):
+        if not (isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu"):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        key = f"\0ndarray {len(arrays)} {nonce}"
+        arrays[json.dumps(key)] = "[" + int_rows_text(value, ",", "[", "],")[:-1] + "]"
+        return key
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=marker)
     # string literals land at the odd indices; a stretch between them
     # without '.', 'e', 'E', 'I' or 'N' holds no float and is kept as is
     parts = _STRING.split(text)
     for i in range(0, len(parts), 2):
         if any(c in parts[i] for c in ".eEIN"):
             parts[i] = _FLOAT.sub(_float17, parts[i])
+    if arrays:
+        parts[1::2] = [arrays.get(part, part) for part in parts[1::2]]
     return "".join(parts)
 
 
@@ -150,7 +168,7 @@ def cmd_graph_check(args) -> None:
 
 
 def cmd_relation_build(args) -> None:
-    _emit(args, _instance(args.infile)[2].to_json(), {"in": args.infile})
+    _emit(args, _instance(args.infile)[2].array_json(), {"in": args.infile})
 
 
 def cmd_relation_infer(args) -> None:
@@ -206,8 +224,6 @@ def _mub_bases(data) -> tuple[list, int]:
         d, bases = int(data["d"]), list(data["bases"])
     except (TypeError, ValueError, OverflowError):
         raise InvalidParamsError("a mub file holds an integer d and a list of bases") from None
-    import numpy as np
-
     mats = []
     for basis in bases:
         try:
@@ -319,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         """An action's parser; infile None adds no --in, else whether it is required."""
         # no abbreviations: simulate success would take --k for --k-grid
         p = actions.add_parser(name, parents=[common], allow_abbrev=False)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, action_parser=p)
         if infile is not None:
             p.add_argument("--in", dest="infile", metavar="FILE", required=infile)
         return p
@@ -391,7 +407,11 @@ FAILURES = (
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # nested parsers hand an unknown argument up to the root, whose usage
+    # line lists no action flags: report it with the action's own
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        args.action_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         # an optional --in (graph check, quantum table|optimize|mub) left out
         # is a parameter error

@@ -17,11 +17,10 @@ import numpy as np
 
 from .errors import ConstructionFailedError, InvalidParamsError
 from .graphs import gen_paley, is_prime
-from .quantum import OrthogonalRepresentation
+from .quantum import RANK_TOL, OrthogonalRepresentation, _factor_gram
 
 SPECTRUM_TOL = 1e-9
 FOURIER_TOL = 1e-8
-RANK_TOL = 1e-6
 
 
 def _require_paley_prime(q: int):
@@ -146,13 +145,10 @@ def extract_vectors(report: GramReport) -> OrthogonalRepresentation:
 
     The eigendecomposition keeps the (q+1)/2 positive eigenpairs; rows of
     eigvecs * sqrt(eigvals) reproduce the Gram matrix, so adjacent pairs are
-    orthogonal and non-adjacent overlaps are 2/(sqrt(q)+1).
+    orthogonal and non-adjacent overlaps are 2/(sqrt(q)+1).  This is the
+    factorization of `quantum.build_representation` on conference graphs.
     """
-    eigvals, eigvecs = np.linalg.eigh(report.matrix)
-    if np.any(eigvals < -1e-9):
-        raise ConstructionFailedError("Gram matrix is not positive semidefinite")
-    keep = eigvals > RANK_TOL
-    return OrthogonalRepresentation(eigvecs[:, keep] * np.sqrt(eigvals[keep]))
+    return OrthogonalRepresentation(_factor_gram(report.matrix))
 
 
 def lovasz_theta(q: int) -> float:

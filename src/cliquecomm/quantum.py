@@ -8,12 +8,14 @@ The payoff of the representation itself is the smallest squared overlap
 over non-adjacent vertex pairs, and maximizing it over representations of a
 fixed dimension is the quantum figure of merit for reconstruction.
 
-Disjoint cliques and chains of cliques have closed-form representations;
-the rest, and every payoff maximization, run one gradient ascent of a soft
-minimum of the non-edge overlaps |V V^H|^2 under an edge penalty or, for
-disjoint cliques, a QR retraction of each clique's frame (Absil-Mahony-
-Sepulchre, 2008).  The default dimension is omega where a closed form
-exists and the general-position dimension (Lovasz-Saks-Schrijver) elsewhere.
+Disjoint cliques, chains of cliques and conference graphs (Paley graphs
+among them) have closed-form representations, the last one in dimension
+(q+1)/2 and up; the rest, and every payoff maximization, run one gradient
+ascent of a soft minimum of the non-edge overlaps |V V^H|^2 under an edge
+penalty or, for disjoint cliques, a QR retraction of each clique's frame
+(Absil-Mahony-Sepulchre, 2008).  The default dimension is omega where a
+clique closed form exists and the general-position dimension
+(Lovasz-Saks-Schrijver) elsewhere, which is (q+1)/2 on a conference graph.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from .tables import payoff as table_payoff
 
 ORTHO_TOL = 1e-9
 ANGLE_TOL = 1e-9
+# eigenvalues at or below this count as zero when a Gram matrix is factored
+RANK_TOL = 1e-6
 
 GOLDEN_ANGLE = np.pi * (3 - np.sqrt(5))
 
@@ -154,26 +158,43 @@ def _generic_unitary(dim: int, offset: int = 0) -> np.ndarray:
 
 
 def _closed_form(g: Graph, cliques: CliqueSet):
-    """The closed-form builder of the clique structure, or None.
+    """The closed-form builder of the graph, or None.
 
-    Both closed forms need cliques that cover every vertex and hold every
-    edge.  Vertex-disjoint cliques take _build_disconnected; a chain, whose
-    consecutive cliques share one common number of vertices and whose other
-    pairs share none, takes _build_chain.
+    The clique closed forms need cliques that cover every vertex and hold
+    every edge.  Vertex-disjoint cliques take _build_disconnected; a chain,
+    whose consecutive cliques share one common number of vertices and whose
+    other pairs share none, takes _build_chain.  Any other conference graph
+    takes _build_conference.
     """
-    member = clique_membership(cliques, g.order).astype(np.int64)
+    # float64 products count exactly here and, unlike int64 ones, run on BLAS
+    member = clique_membership(cliques, g.order).astype(float)
     # shared[i, j] counts the vertices cliques i+1 and j+1 share; within[u, v]
     # says whether u and v lie in a common clique, so its diagonal is coverage
     shared, within = member @ member.T, member.T @ member > 0
-    if not (within.diagonal()[1:].all()
+    if (within.diagonal()[1:].all()
             and np.array_equal(g.adjacency, within & ~np.eye(g.order + 1, dtype=bool))):
-        return None
-    if not np.triu(shared, k=1).any():
-        return _build_disconnected
-    chain = shared.diagonal(1)
-    if chain[0] and (chain == chain[0]).all() and not np.triu(shared, k=2).any():
-        return _build_chain
-    return None
+        if not np.triu(shared, k=1).any():
+            return _build_disconnected
+        chain = shared.diagonal(1)
+        if chain[0] and (chain == chain[0]).all() and not np.triu(shared, k=2).any():
+            return _build_chain
+    return _build_conference if _is_conference(g) else None
+
+
+def _is_conference(g: Graph) -> bool:
+    """Whether A^2 = (q-1)/4 (J + I) - A for the order q = 1 (mod 4): a
+    conference graph, such as a Paley graph under any labelling.
+
+    The order and the degrees (q-1)/2 are checked first, as they are
+    cheap.  The product is taken in float64, which is exact for 0/1
+    matrices of any order here and runs on BLAS, unlike an int64 product.
+    """
+    q = g.order
+    a = g.adjacency[1:, 1:]
+    if q % 4 != 1 or not (a.sum(axis=1) == (q - 1) // 2).all():
+        return False
+    a = a.astype(float)
+    return bool(np.array_equal(a @ a, (q - 1) / 4 * (1 + np.eye(q)) - a))
 
 
 def _build_disconnected(g: Graph, cliques: CliqueSet, d: int, attempt: int,
@@ -220,6 +241,31 @@ def _build_chain(g: Graph, cliques: CliqueSet, d: int, attempt: int,
             w, _ = np.linalg.qr(z)
         vectors[new, :omega] = (comp @ w).T
         placed[new] = True
+    return OrthogonalRepresentation(vectors)
+
+
+def _factor_gram(gram: np.ndarray) -> np.ndarray:
+    """Rows whose Gram matrix is the positive semidefinite `gram`: its
+    eigenvectors of eigenvalue above RANK_TOL, each scaled by the root of
+    its eigenvalue."""
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    if np.any(eigvals < -1e-9):
+        raise ConstructionFailedError("Gram matrix is not positive semidefinite")
+    keep = eigvals > RANK_TOL
+    return eigvecs[:, keep] * np.sqrt(eigvals[keep])
+
+
+def _build_conference(g: Graph, cliques: CliqueSet, d: int, attempt: int,
+                      rng: np.random.Generator) -> OrthogonalRepresentation:
+    """The factored Gram matrix I + 2/(sqrt(q)+1) (J - I - A) of rank
+    (q+1)/2, padded with zero columns up to d: edges are orthogonal and
+    every non-adjacent overlap is 2/(sqrt(q)+1) (the spectral argument in
+    `paley`'s module docstring rests on the conference identity alone)."""
+    q = g.order
+    gram = np.eye(q) + 2 / (np.sqrt(q) + 1) * (~g.adjacency[1:, 1:] & ~np.eye(q, dtype=bool))
+    factor = _factor_gram(gram)
+    vectors = np.zeros((q, d), dtype=complex)
+    vectors[:, :factor.shape[1]] = factor
     return OrthogonalRepresentation(vectors)
 
 
@@ -321,14 +367,32 @@ def _build_by_ascent(g: Graph, d: int, seed: int) -> OrthogonalRepresentation:
 
 
 def _dimension(g: Graph, cliques: CliqueSet, d: int | None, builder) -> int:
-    """d, or by default omega where a closed-form builder exists and
+    """d, or by default omega where a clique closed form exists and
     otherwise the general-position dimension order minus the complement's
-    connectivity (Lovasz-Saks-Schrijver), which is never below omega."""
+    connectivity (Lovasz-Saks-Schrijver), which is never below omega.  On
+    a conference graph that is (q+1)/2, taken without the connectivity
+    search: the complement is a connected strongly regular graph of degree
+    (q-1)/2, and its connectivity is its degree (Brouwer-Mesner)."""
     if d is None:
-        d = cliques.omega if builder else g.order - _complement_connectivity(g)
+        if builder is _build_conference:
+            d = (g.order + 1) // 2
+        elif builder is not None:
+            d = cliques.omega
+        else:
+            d = g.order - _complement_connectivity(g)
     if d < cliques.omega:
         raise InvalidParamsError(f"dimension {d} below clique size {cliques.omega}")
     return d
+
+
+def _builder_and_dimension(g: Graph, cliques: CliqueSet, d: int | None):
+    """The closed-form builder that reaches dimension d, or None, and d
+    with its default filled in; the conference form needs d >= (q+1)/2."""
+    builder = _closed_form(g, cliques)
+    d = _dimension(g, cliques, d, builder)
+    if builder is _build_conference and d < (g.order + 1) // 2:
+        builder = None
+    return builder, d
 
 
 def _construct(g: Graph, cliques: CliqueSet, d: int, seed: int,
@@ -352,14 +416,17 @@ def build_representation(
 
     Disjoint cliques get one generic rotated basis per clique; chains of
     overlapping cliques reuse the shared vectors and complete each clique
-    inside the orthogonal complement; anything else goes through the
-    ascent of optimize_payoff from random starts, returning the first that
+    inside the orthogonal complement; a conference graph (a Paley graph,
+    say) in dimension at least (q+1)/2 gets the factored Gram matrix of
+    its Lovasz-optimal vectors; anything else goes through the ascent of
+    optimize_payoff from random starts, returning the first that
     certifies.  Every path re-verifies the result and retries with fresh
     generic choices before giving up.  d defaults to omega for the two
-    closed forms and to the general-position dimension otherwise.
+    clique closed forms and to the general-position dimension otherwise,
+    (q+1)/2 on a conference graph.
     """
-    builder = _closed_form(g, cliques)
-    return _construct(g, cliques, _dimension(g, cliques, d, builder), seed, builder)
+    builder, d = _builder_and_dimension(g, cliques, d)
+    return _construct(g, cliques, d, seed, builder)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +516,7 @@ def optimize_payoff(
     """
     if restarts < 0:
         raise InvalidParamsError(f"restarts={restarts} is negative")
-    builder = _closed_form(g, cliques)
-    d = _dimension(g, cliques, d, builder)
+    builder, d = _builder_and_dimension(g, cliques, d)
     if 2 * len(g.edges) == g.order * (g.order - 1):
         # a complete graph has no non-adjacent pair to pay off
         return OptimizeResult(_construct(g, cliques, d, seed, builder), 1.0)

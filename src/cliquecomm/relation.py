@@ -21,21 +21,6 @@ from .errors import InconsistentRelationError, InvalidParamsError
 from .graphs import SCHEMA_VERSION, CliqueSet, Graph
 
 
-def label_to_colouring(clique: tuple[int, ...], a: int) -> dict[int, int]:
-    """Binary colouring of a clique's vertices with the 1 at position a."""
-    if not 0 <= a < len(clique):
-        raise InvalidParamsError(f"label {a} out of range for clique of size {len(clique)}")
-    return {v: int(i == a) for i, v in enumerate(clique)}
-
-
-def colouring_to_label(clique: tuple[int, ...], colouring: dict[int, int]) -> int:
-    """Inverse of label_to_colouring."""
-    ones = [i for i, v in enumerate(clique) if colouring.get(v, 0) == 1]
-    if len(ones) != 1:
-        raise InvalidParamsError("colouring must assign 1 to exactly one clique vertex")
-    return ones[0]
-
-
 def slot_index(omega: int, x, a):
     """Mask (and table) row of the slot (clique x, label a); elementwise on arrays."""
     return (x - 1) * omega + a
@@ -64,25 +49,61 @@ def four_int_rows(rows, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+# rows rendered per step of int_rows_text, which bounds its working set
+ROW_BLOCK = 32768
+
+
+def int_rows_text(rows: np.ndarray, sep: str, head: str = "", tail: str = "") -> str:
+    """Each row of a 2-D integer array as head + its decimals joined by sep
+    + tail, concatenated: the text of str() on each entry, minus signs
+    included.  head, sep and tail are ASCII without NUL.
+
+    A block of ROW_BLOCK rows becomes one uint8 character matrix, each
+    entry a fixed-width field (a sign byte where its column has a negative
+    entry, then the digits right-aligned) whose padding bytes are NUL and
+    dropped in one pass, so no Python object is made per entry.
+    """
+    return "".join(_int_block_text(rows[i:i + ROW_BLOCK], sep, head, tail)
+                   for i in range(0, len(rows), ROW_BLOCK))
+
+
+def _int_block_text(rows: np.ndarray, sep: str, head: str, tail: str) -> str:
+    m = len(rows)
+
+    def fixed(text):
+        return np.frombuffer(text.encode(), dtype=np.uint8)[:, None]
+
+    # one character row per output position, one column per input row
+    lines = [fixed(head)]
+    for j, col in enumerate(rows.T):
+        if j:
+            lines.append(fixed(sep))
+        neg = col < 0
+        if neg.any():
+            lines.append(np.where(neg, np.uint8(ord("-")), np.uint8(0))[None])
+        mag = col.astype(np.uint64)  # two's complement: negating gives |v|
+        np.negative(mag, out=mag, where=neg)
+        top = int(mag.max())
+        mag = mag.astype(np.min_scalar_type(top))  # the narrowest type divides fastest
+        ten = mag.dtype.type(10)
+        digits = np.empty((len(str(top)), m), dtype=np.uint8)
+        for p in range(len(digits) - 1, -1, -1):
+            digits[p] = mag % ten
+            mag //= ten
+        digits += np.uint8(ord("0"))
+        lead = np.ones(m, dtype=bool)  # zeros so far, which are padding
+        for row in digits[:-1]:
+            lead &= row == ord("0")
+            row *= ~lead
+        lines.append(digits)
+    lines.append(fixed(tail))
+    chars = np.concatenate([np.broadcast_to(x, (len(x), m)) for x in lines])
+    return chars.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def selected_vertices(cliques: CliqueSet) -> np.ndarray:
     """Slot -> the vertex its label selects: clique[a] for slot (x, a)."""
     return np.asarray(cliques.cliques, dtype=np.intp).ravel()
-
-
-def labels_consistent(
-    g: Graph, cliques: CliqueSet, x: int, a: int, y: int, b: int
-) -> bool:
-    """Whether labelling clique x with a and clique y with b is consistent.
-
-    Reduces to a condition on the two selected vertices: they are the same
-    vertex or they are not adjacent, which is one test since no vertex is
-    adjacent to itself.  A selected vertex inside the other party's clique
-    is adjacent to every other vertex there, so the shared-colour rule
-    needs no clause of its own.
-    """
-    if not (0 <= a < cliques.omega and 0 <= b < cliques.omega):
-        raise InvalidParamsError(f"label out of range for clique size {cliques.omega}")
-    return not g.adjacent(cliques.clique(x)[a], cliques.clique(y)[b])
 
 
 class Relation:
@@ -173,13 +194,20 @@ class Relation:
         """Largest number of admissible outputs over all input triples."""
         return int(self.output_counts().max())
 
-    def to_json(self) -> dict:
+    def array_json(self) -> dict:
+        """`to_json` with the tuples left as the (size, 4) int array, which
+        `cli.dumps_canonical` writes as the same lists."""
         return {
             "schema_version": SCHEMA_VERSION,
             "n": self.n,
             "omega": self.omega,
-            "tuples": self._tuple_array().tolist(),
+            "tuples": self._tuple_array(),
         }
+
+    def to_json(self) -> dict:
+        data = self.array_json()
+        data["tuples"] = data["tuples"].tolist()
+        return data
 
     @classmethod
     def from_json(cls, data: dict) -> "Relation":
@@ -197,12 +225,14 @@ class Relation:
 def build_relation(g: Graph, cliques: CliqueSet) -> Relation:
     """Every consistent tuple over the given maximum cliques, as a mask.
 
-    The rule of `labels_consistent` applied to all slot pairs at once: the
-    vertex-level matrix I | ~A (equal or non-adjacent vertices), which is
-    ~A as A has a false diagonal, gathered through the vertex each slot
-    selects.  Raises if some input triple admits no output at all; the
-    games here are only defined for relations that are total over the
-    input set.
+    Two labelled cliques are consistent exactly when their selected
+    vertices are equal or not adjacent: a selected vertex inside the other
+    clique is adjacent to every other vertex there, so the shared-colour
+    rule needs no clause of its own.  That is the vertex-level matrix
+    I | ~A, which is ~A as A has a false diagonal, gathered through the
+    vertex each slot selects.  Raises if some input triple admits no
+    output at all; the games here are only defined for relations that are
+    total over the input set.
     """
     n, omega = cliques.count, cliques.omega
     sel = selected_vertices(cliques)

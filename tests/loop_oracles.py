@@ -4,9 +4,10 @@ Each function restates one kernel the library computes over the relation
 mask, an integer numerator matrix, or a graph's adjacency and clique
 membership matrices, the slow way: one tuple, entry, slot pair or vertex
 pair at a time, through public accessors only (`rel.tuples`,
-`table.prob`, `labels_consistent`, `g.adjacent`, `g.neighbors`,
-`cliques.cliques_containing`, `rep.overlap_sq`).  The property tests
-compare the two.
+`table.prob`, `g.adjacent`, `g.neighbors`, `cliques.cliques_containing`,
+`rep.overlap_sq`).  The property tests compare the two.  The clique
+labelling rule itself is stated here too: `label_to_colouring`,
+`colouring_to_label` and `labels_consistent`.
 """
 
 from __future__ import annotations
@@ -26,11 +27,39 @@ from cliquecomm import (
     InvalidParamsError,
     Relation,
     build_relation,
-    labels_consistent,
 )
 from cliquecomm.quantum import ORTHO_TOL, _generic_unitary
 from cliquecomm.simulate import ReconstructionResult
 from cliquecomm.tables import ZERO_TOL, CompressedTable
+
+
+def label_to_colouring(clique, a):
+    """Binary colouring of a clique's vertices with the 1 at position a."""
+    if not 0 <= a < len(clique):
+        raise InvalidParamsError(f"label {a} out of range for clique of size {len(clique)}")
+    return {v: int(i == a) for i, v in enumerate(clique)}
+
+
+def colouring_to_label(clique, colouring):
+    """Inverse of label_to_colouring."""
+    ones = [i for i, v in enumerate(clique) if colouring.get(v, 0) == 1]
+    if len(ones) != 1:
+        raise InvalidParamsError("colouring must assign 1 to exactly one clique vertex")
+    return ones[0]
+
+
+def labels_consistent(g, cliques, x, a, y, b):
+    """Whether labelling clique x with a and clique y with b is consistent.
+
+    Reduces to a condition on the two selected vertices: they are the same
+    vertex or they are not adjacent, which is one test since no vertex is
+    adjacent to itself.  A selected vertex inside the other party's clique
+    is adjacent to every other vertex there, so the shared-colour rule
+    needs no clause of its own.
+    """
+    if not (0 <= a < cliques.omega and 0 <= b < cliques.omega):
+        raise InvalidParamsError(f"label out of range for clique size {cliques.omega}")
+    return not g.adjacent(cliques.clique(x)[a], cliques.clique(y)[b])
 
 
 def relation_tuples(g, cliques):
@@ -746,7 +775,9 @@ def oa_exists(n_rows, k):
 
 def _fmt(value) -> str:
     """Canonical JSON written value by value: sorted keys, no spaces, floats
-    as format(x, ".17g")."""
+    as format(x, ".17g"), and a 2-D integer array as its nested lists."""
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.dtype.kind in "iu":
+        return _fmt(value.tolist())
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

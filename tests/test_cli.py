@@ -172,10 +172,15 @@ def test_simulate_run_and_success(tmp_path, capsys):
     assert text.splitlines()[0] == "k,P_exact,P_mc,stderr"
 
 
+# `simulate run --in p13.json --k 20280 --seed 7`; CI checks the installed
+# script against it too
+P13_RUN_SHA256 = "a169444fbe64999a88a8189ba560586ff0686dbb53a0d60ceb8bdb860dedc3dc"
+
+
 @pytest.mark.parametrize("graph, argv, digest", [
     (["--family", "paley", "--q", "13"],
      ["run", "--k", "20280", "--seed", "7"],
-     "a169444fbe64999a88a8189ba560586ff0686dbb53a0d60ceb8bdb860dedc3dc"),
+     P13_RUN_SHA256),
     (["--family", "nncc", "--n", "2", "--omega", "3", "--r", "1"],
      ["success", "--mixture", "optimal", "--trials", "2000"],
      "bc065785ec7b9313e14130f32164a6973c6f8ba25c2327b389ecf5ee7a1879fc"),

@@ -321,7 +321,10 @@ def test_flag_the_action_does_not_read_exits_2(capsys, command, action, flag):
     with pytest.raises(SystemExit) as info:
         main(argv_of(command, action, flag))
     assert info.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # reported with the action's own usage line, not the root parser's
+    assert err.startswith(f"usage: cliquecomm {command} {action} ")
+    assert f"unrecognized arguments: {flag}" in err
 
 
 @pytest.mark.parametrize("command, action, flags", [

@@ -8,16 +8,14 @@ from cliquecomm import (
     InconsistentRelationError,
     Relation,
     build_relation,
-    colouring_to_label,
     enumerate_maximum_cliques,
     gen_disconnected,
     gen_nncc,
     gen_paley,
     infer_graph,
-    label_to_colouring,
-    labels_consistent,
 )
 from conftest import CHAIN5_RELATION, consistency_oracle
+from loop_oracles import colouring_to_label, label_to_colouring, labels_consistent
 
 
 def test_label_colouring_positions():

@@ -55,7 +55,9 @@ def check_builders(g):
     with the generic unitary (attempt 0) and with random ones."""
     cliques = enumerate_maximum_cliques(g)
     build = _closed_form(g, cliques)
-    if build is None:
+    # a conference graph (the 5-cycle, say) has no loop oracle; its form is
+    # checked in test_conference.py
+    if build not in (_build_disconnected, _build_chain):
         return
     loop = {_build_disconnected: oracle.build_disconnected,
             _build_chain: oracle.build_chain}[build]
